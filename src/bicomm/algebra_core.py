@@ -26,8 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
@@ -54,6 +55,28 @@ def compositions(total: int, parts: int) -> Iterator[Exponents]:
             yield (head,) + tail
 
 
+def indicator(d: int, indices: Iterable[int]) -> Exponents:
+    """The length-d exponent tuple with a 1 at each given 0-based index."""
+    exps = [0] * d
+    for i in indices:
+        exps[i] = 1
+    return tuple(exps)
+
+
+def power_by_squaring(base, exponent: int, one):
+    """base ** exponent by repeated squaring; `one` is the empty product."""
+    if exponent < 0:
+        raise ValueError("negative powers are not defined")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
+
+
 def term_sort_key(key: TermKey) -> tuple:
     """Canonical monomial order used for bases, row reduction and printing.
 
@@ -78,7 +101,7 @@ def _format_monomial(key: TermKey) -> str:
     return "*".join(factors) if factors else "1"
 
 
-def _format_terms(parts: list[tuple[Fraction, str]]) -> str:
+def format_terms(parts: list[tuple[Fraction, str]]) -> str:
     """Join (coefficient, symbol) pairs into a signed sum like '2*a - b/3'."""
     if not parts:
         return "0"
@@ -130,11 +153,24 @@ class YZPolynomial:
             raise ValueError(f"alphabet must be 'y' or 'z', got {alphabet!r}")
         if not 1 <= index <= rank:
             raise ValueError(f"variable index {index} out of range 1..{rank}")
-        exps = [0] * rank
-        exps[index - 1] = 1
+        coeffs = [_ZERO] * rank
+        coeffs[index - 1] = _ONE
+        return cls.linear(alphabet, coeffs)
+
+    @classmethod
+    def linear(cls, alphabet: str, coeffs: Sequence[Fraction]) -> "YZPolynomial":
+        """sum_i coeffs[i] * y_(i+1) for alphabet "y", the same in z for "z".
+
+        Trusted like the plain constructor: coefficients must be Fractions.
+        """
+        rank = len(coeffs)
         zeros = (0,) * rank
-        key = (tuple(exps), zeros) if alphabet == "y" else (zeros, tuple(exps))
-        return cls(rank, {key: _ONE})
+        terms: dict[TermKey, Fraction] = {}
+        for i, coeff in enumerate(coeffs):
+            if coeff:
+                unit = indicator(rank, (i,))
+                terms[(unit, zeros) if alphabet == "y" else (zeros, unit)] = coeff
+        return cls(rank, terms)
 
     @classmethod
     def monomial(
@@ -227,18 +263,7 @@ class YZPolynomial:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "YZPolynomial":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        result = YZPolynomial.constant(self.rank, 1)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power_by_squaring(self, exponent, YZPolynomial.constant(self.rank, 1))
 
     def total_degree(self) -> int:
         """Largest total degree of a term; -1 for the zero polynomial."""
@@ -259,7 +284,7 @@ class YZPolynomial:
 
     def __str__(self) -> str:
         ordered = sorted(self.terms, key=term_sort_key)
-        return _format_terms([(self.terms[k], _format_monomial(k)) for k in ordered])
+        return format_terms([(self.terms[k], _format_monomial(k)) for k in ordered])
 
     def __repr__(self) -> str:
         return f"YZPolynomial(d={self.rank}: {self})"
@@ -296,9 +321,7 @@ class BicommElement:
         """The free generator x_index (1-based)."""
         if not 1 <= index <= rank:
             raise ValueError(f"generator index {index} out of range 1..{rank}")
-        coeffs = [_ZERO] * rank
-        coeffs[index - 1] = _ONE
-        return cls(rank, tuple(coeffs), YZPolynomial.zero(rank))
+        return cls.from_linear(rank, indicator(rank, (index - 1,)))
 
     @classmethod
     def from_linear(cls, rank: int, coeffs) -> "BicommElement":
@@ -340,27 +363,6 @@ class BicommElement:
             self.bulk._scaled(factor),
         )
 
-    def _y_lift(self) -> YZPolynomial:
-        """The linear part read as a y-polynomial: sum of linear[i] * y_{i+1}."""
-        zeros = (0,) * self.rank
-        terms: dict[TermKey, Fraction] = {}
-        for i, coeff in enumerate(self.linear):
-            if coeff:
-                exps = [0] * self.rank
-                exps[i] = 1
-                terms[(tuple(exps), zeros)] = coeff
-        return YZPolynomial(self.rank, terms)
-
-    def _z_lift(self) -> YZPolynomial:
-        zeros = (0,) * self.rank
-        terms: dict[TermKey, Fraction] = {}
-        for i, coeff in enumerate(self.linear):
-            if coeff:
-                exps = [0] * self.rank
-                exps[i] = 1
-                terms[(zeros, tuple(exps))] = coeff
-        return YZPolynomial(self.rank, terms)
-
     def __mul__(self, other):
         """The bicommutative product.
 
@@ -371,8 +373,8 @@ class BicommElement:
         """
         if isinstance(other, BicommElement):
             self._check_rank(other)
-            left = self._y_lift() + self.bulk
-            right = other._z_lift() + other.bulk
+            left = YZPolynomial.linear("y", self.linear) + self.bulk
+            right = YZPolynomial.linear("z", other.linear) + other.bulk
             return BicommElement.from_bulk(left * right)
         if isinstance(other, (int, Fraction)):
             return self._scaled(Fraction(other))
@@ -402,34 +404,53 @@ class BicommElement:
                 parts.append((coeff, f"x{i + 1}"))
         for key in sorted(self.bulk.terms, key=term_sort_key):
             parts.append((self.bulk.terms[key], _format_monomial(key)))
-        return _format_terms(parts)
+        return format_terms(parts)
 
     def __repr__(self) -> str:
         return f"BicommElement(d={self.rank}: {self})"
 
 
-def bulk_monomial_keys(d: int, n: int) -> list[TermKey]:
-    """The (alpha, beta) keys of the degree-n bulk monomials, canonical order."""
-    if n < 2:
-        raise ValueError("bulk monomials start at degree 2")
-    keys: list[TermKey] = []
-    for a in range(1, n):
-        for alpha in compositions(a, d):
-            for beta in compositions(n - a, d):
-                keys.append((alpha, beta))
-    return keys
+class MonomialTable(NamedTuple):
+    """The degree-n monomial keys of K[Y_d, Z_d] in canonical order, and the
+    position of each key."""
+
+    keys: tuple[TermKey, ...]
+    index: dict[TermKey, int]
+
+
+@lru_cache(maxsize=None)
+def monomial_table(d: int, n: int) -> MonomialTable:
+    """The one table that indexes the columns of every row reduction, bulk
+    elements included.  It is cached and shared: callers must not mutate it.
+    """
+    keys = tuple(
+        (alpha, beta)
+        for a in range(n + 1)
+        for alpha in compositions(a, d)
+        for beta in compositions(n - a, d)
+    )
+    return MonomialTable(keys, {key: i for i, key in enumerate(keys)})
 
 
 def yz_monomial_keys(d: int, n: int) -> list[TermKey]:
     """All degree-n monomial keys of the full polynomial ring K[Y_d, Z_d]."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    keys: list[TermKey] = []
-    for a in range(0, n + 1):
-        for alpha in compositions(a, d):
-            for beta in compositions(n - a, d):
-                keys.append((alpha, beta))
-    return keys
+    return list(monomial_table(d, n).keys)
+
+
+def bulk_monomial_keys(d: int, n: int) -> list[TermKey]:
+    """The (alpha, beta) keys of the degree-n bulk monomials, canonical order.
+
+    The full table starts with the pure-z monomials and ends with the
+    pure-y ones, comb(n + d - 1, d - 1) of each, so the bulk is the slice
+    between them.
+    """
+    if n < 2:
+        raise ValueError("bulk monomials start at degree 2")
+    keys = monomial_table(d, n).keys
+    edge = math.comb(n + d - 1, d - 1)
+    return list(keys[edge : len(keys) - edge])
 
 
 def basis_component(d: int, n: int) -> list[BicommElement]:

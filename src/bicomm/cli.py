@@ -27,7 +27,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .algebra_core import BicommElement, basis_component, random_element, term_sort_key
+from .algebra_core import BicommElement, random_element, term_sort_key
 from .group_action import (
     DEFAULT_CLOSURE_CAP,
     CapExceededError,
@@ -54,9 +54,7 @@ from .hilbert import (
     molien_classic,
 )
 from .invariants import (
-    EchelonBasis,
     commutative_invariant_dimension,
-    element_to_row,
     invariant_basis,
     invariant_dimension,
     nonfg_witness,
@@ -99,11 +97,17 @@ def _element_payload(element: BicommElement) -> dict:
     }
 
 
-def _group_payload(group: FiniteGroup, path: str | None) -> dict:
-    payload = {"d": group.rank, "group_order": group.order}
-    if path is not None:
-        payload["group_file"] = path
-    return payload
+def _load_group_header(args, **inputs) -> tuple[FiniteGroup, list[str], dict]:
+    """Load `--group` under `--cap`; return the group, the plain header lines
+    and the structured `input` payload, extended by `inputs` in order."""
+    group = load_group(args.group, cap=args.cap)
+    lines = [
+        f"group file: {args.group}",
+        f"rank d: {group.rank}",
+        f"group order: {group.order}",
+    ]
+    payload = {"d": group.rank, "group_order": group.order, "group_file": args.group}
+    return group, lines, dict(payload, **inputs)
 
 
 def _emit(args, plain_lines: list[str], document: dict) -> None:
@@ -133,19 +137,14 @@ def catalogued_groups(d: int) -> list[tuple[str, FiniteGroup]]:
 
 
 def _cmd_hilbert(args) -> int:
-    group = load_group(args.group, cap=args.cap)
     order = args.order
+    group, lines, payload = _load_group_header(args, order=order, cap=args.cap)
     results = {
         "molien_classic": molien_classic(group),
         "dicks_formanek": dicks_formanek(group),
         "molien_bicomm": molien_bicomm(group),
     }
-    lines = [
-        f"group file: {args.group}",
-        f"rank d: {group.rank}",
-        f"group order: {group.order}",
-        "",
-    ]
+    lines.append("")
     payload_results = {}
     for name, f in results.items():
         series = expand(f, order)
@@ -156,7 +155,7 @@ def _cmd_hilbert(args) -> int:
         )
     document = {
         "command": "hilbert",
-        "input": dict(_group_payload(group, args.group), order=order, cap=args.cap),
+        "input": payload,
         "results": payload_results,
     }
     _emit(args, lines, document)
@@ -164,13 +163,8 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    group = load_group(args.group, cap=args.cap)
-    lines = [
-        f"group file: {args.group}",
-        f"rank d: {group.rank}",
-        f"group order: {group.order}",
-        "",
-    ]
+    group, lines, payload = _load_group_header(args, max_degree=args.max_degree)
+    lines.append("")
     degrees = []
     for n in range(1, args.max_degree + 1):
         basis = invariant_basis(group, n)
@@ -186,7 +180,7 @@ def _cmd_invariants(args) -> int:
         )
     document = {
         "command": "invariants",
-        "input": dict(_group_payload(group, args.group), max_degree=args.max_degree),
+        "input": payload,
         "results": {"degrees": degrees},
     }
     _emit(args, lines, document)
@@ -194,15 +188,11 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_nonfg(args) -> int:
-    group = load_group(args.group, cap=args.cap)
+    group, lines, payload = _load_group_header(
+        args, cutoff=args.cutoff, max_degree=args.max_degree
+    )
     report = nonfg_witness(group, args.cutoff, args.max_degree)
-    lines = [
-        f"group file: {args.group}",
-        f"rank d: {group.rank}",
-        f"group order: {group.order}",
-        f"searched degrees up to {args.max_degree}",
-        "",
-    ]
+    lines += [f"searched degrees up to {args.max_degree}", ""]
     entries = []
     for gap in report.gaps:
         if gap.gap_degree is None:
@@ -225,11 +215,7 @@ def _cmd_nonfg(args) -> int:
         )
     document = {
         "command": "nonfg",
-        "input": dict(
-            _group_payload(group, args.group),
-            cutoff=args.cutoff,
-            max_degree=args.max_degree,
-        ),
+        "input": payload,
         "results": {"gaps": entries},
     }
     _emit(args, lines, document)
@@ -313,13 +299,10 @@ def _verify_checks(d: int, order: int):
                 reynolds_ok = False
             if any(act(g, averaged) != averaged for g in group.elements):
                 reynolds_ok = False
-        linear_rank = EchelonBasis()
-        for generator in basis_component(d, 1):
-            linear_rank.add(element_to_row(reynolds(group, generator), 1))
         trace_average = sum(
             (g.trace() for g in group.elements), Fraction(0)
         ) / group.order
-        reynolds_ok = reynolds_ok and linear_rank.dimension == trace_average
+        reynolds_ok = reynolds_ok and invariant_dimension(group, 1) == trace_average
         yield (f"{name}: Reynolds operator suite", reynolds_ok)
     identities_ok = True
     for _ in range(100):

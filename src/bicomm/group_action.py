@@ -20,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .algebra_core import BicommElement, TermKey, YZPolynomial
+from .algebra_core import BicommElement, YZPolynomial
 
 DEFAULT_CLOSURE_CAP = 100_000
 
@@ -59,11 +59,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, d: int) -> "RationalMatrix":
-        return cls(
-            tuple(
-                tuple(_ONE if i == j else _ZERO for j in range(d)) for i in range(d)
-            )
-        )
+        return diagonal_matrix([_ONE] * d)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
@@ -74,7 +70,6 @@ class RationalMatrix:
             return NotImplemented
         if self.size != other.size:
             raise ValueError("matrix sizes differ")
-        d = self.size
         cols = tuple(zip(*other.entries))
         return RationalMatrix(
             tuple(
@@ -86,33 +81,36 @@ class RationalMatrix:
     def trace(self) -> Fraction:
         return sum((self.entries[i][i] for i in range(self.size)), _ZERO)
 
-    def det(self) -> Fraction:
-        """Exact determinant by rational Gaussian elimination."""
+    def char_coefficients(self) -> tuple[Fraction, ...]:
+        """Coefficients of det(1 - self t), ascending: 1, c_1, ..., c_d.
+
+        The Faddeev-LeVerrier trace recursion yields the c_k with
+        det(s - self) = s^d + c_1 s^(d-1) + ... + c_d.  Division happens only
+        by the integers 1..d, which is harmless in characteristic zero.
+        """
         d = self.size
-        m = [list(row) for row in self.entries]
-        result = _ONE
-        for col in range(d):
-            pivot = next((r for r in range(col, d) if m[r][col]), None)
-            if pivot is None:
-                return _ZERO
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
-                result = -result
-            lead = m[col][col]
-            result *= lead
-            for r in range(col + 1, d):
-                if m[r][col]:
-                    factor = m[r][col] / lead
-                    for c in range(col, d):
-                        m[r][c] -= factor * m[col][c]
-        return result
+        a = self.entries
+        m = [[_ONE if i == j else _ZERO for j in range(d)] for i in range(d)]
+        coeffs: list[Fraction] = [_ONE]
+        for k in range(1, d + 1):
+            m = [
+                [sum((a[i][l] * m[l][j] for l in range(d)), _ZERO) for j in range(d)]
+                for i in range(d)
+            ]
+            c = -sum((m[i][i] for i in range(d)), _ZERO) / k
+            coeffs.append(c)
+            if k < d:
+                for i in range(d):
+                    m[i][i] += c
+        return tuple(coeffs)
+
+    def det(self) -> Fraction:
+        """Exact determinant: c_d = det(-self) = (-1)^d det(self)."""
+        c_d = self.char_coefficients()[-1]
+        return -c_d if self.size % 2 else c_d
 
     def is_identity(self) -> bool:
-        return all(
-            self.entries[i][j] == (_ONE if i == j else _ZERO)
-            for i in range(self.size)
-            for j in range(self.size)
-        )
+        return self == RationalMatrix.identity(self.size)
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(v) for v in row) for row in self.entries) + "]"
@@ -216,14 +214,19 @@ def trivial_group(d: int) -> FiniteGroup:
     return group_closure([], rank=d)
 
 
-def symmetric_group(d: int) -> FiniteGroup:
-    """S_d as permutation matrices, generated by adjacent transpositions."""
+def adjacent_transpositions(d: int) -> list[RationalMatrix]:
+    """The d - 1 permutation matrices that swap neighbouring coordinates."""
     gens = []
     for i in range(d - 1):
         perm = list(range(d))
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
         gens.append(permutation_matrix(perm))
-    return group_closure(gens, rank=d)
+    return gens
+
+
+def symmetric_group(d: int) -> FiniteGroup:
+    """S_d as permutation matrices, generated by adjacent transpositions."""
+    return group_closure(adjacent_transpositions(d), rank=d)
 
 
 def act_linear(g: RationalMatrix, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -244,28 +247,15 @@ def act_bulk(g: RationalMatrix, poly: YZPolynomial) -> YZPolynomial:
     d = poly.rank
     if g.size != d:
         raise ValueError("rank mismatch between matrix and polynomial")
-    images: dict[tuple[str, int], YZPolynomial] = {}
-    for j in range(d):
-        y_terms: dict[TermKey, Fraction] = {}
-        z_terms: dict[TermKey, Fraction] = {}
-        zeros = (0,) * d
-        for i in range(d):
-            coeff = g.entries[i][j]
-            if coeff:
-                exps = [0] * d
-                exps[i] = 1
-                y_terms[(tuple(exps), zeros)] = coeff
-                z_terms[(zeros, tuple(exps))] = coeff
-        images[("y", j)] = YZPolynomial(d, y_terms)
-        images[("z", j)] = YZPolynomial(d, z_terms)
-
+    columns = tuple(zip(*g.entries))
     powers: dict[tuple[str, int, int], YZPolynomial] = {}
 
     def power(alphabet: str, j: int, e: int) -> YZPolynomial:
+        """The e-th power of the image of variable j, built on first use."""
         key = (alphabet, j, e)
         got = powers.get(key)
         if got is None:
-            got = images[(alphabet, j)] ** e
+            got = YZPolynomial.linear(alphabet, columns[j]) ** e
             powers[key] = got
         return got
 
@@ -301,7 +291,8 @@ def reynolds(group: FiniteGroup, element: BicommElement) -> BicommElement:
     return total * Fraction(1, group.order)
 
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+# [0-9], not \d: int() would also accept digits of other scripts.
+_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -348,7 +339,7 @@ def read_group_file(path) -> tuple[int, list[RationalMatrix]]:
     if "d" not in doc or "generators" not in doc:
         raise GroupFileError('group file needs fields "d" and "generators"')
     rank = doc["d"]
-    if not isinstance(rank, int) or rank < 1:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise GroupFileError(f'"d" must be a positive integer, got {rank!r}')
     raw_gens = doc["generators"]
     if not isinstance(raw_gens, list):

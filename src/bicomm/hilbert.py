@@ -11,9 +11,10 @@ constant term 1):
         (1/det(1 - g t) - 1)^2 + tr(g) t
     over the group.
 
-det(1 - g t) is produced exactly by the Faddeev-LeVerrier trace recursion;
-no eigenvalue is ever computed, and everything stays inside Q.  Truncated
-Taylor expansion runs the linear recurrence dictated by the denominator.
+det(1 - g t) is produced exactly by the Faddeev-LeVerrier trace recursion
+of `RationalMatrix.char_coefficients`; no eigenvalue is ever computed, and
+everything stays inside Q.  Truncated Taylor expansion runs the linear
+recurrence dictated by the denominator.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra_core import format_terms, power_by_squaring
 from .group_action import FiniteGroup, RationalMatrix
 
 _ZERO = Fraction(0)
@@ -113,18 +115,7 @@ class UniPoly:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "UniPoly":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined")
-        result = UniPoly.one()
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power_by_squaring(self, exponent, UniPoly.one())
 
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if not isinstance(other, UniPoly):
@@ -157,24 +148,8 @@ class UniPoly:
         return self * (1 / self.coeffs[-1])
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        chunks: list[str] = []
-        for k, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            if k == 0:
-                body = str(mag)
-            else:
-                var = "t" if k == 1 else f"t^{k}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if not chunks:
-                chunks.append(body if sign == "+" else f"-{body}")
-            else:
-                chunks.append(f" {sign} {body}")
-        return "".join(chunks)
+        symbols = ["1", "t"] + [f"t^{k}" for k in range(2, len(self.coeffs))]
+        return format_terms([(c, s) for c, s in zip(self.coeffs, symbols) if c])
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
@@ -322,45 +297,32 @@ def expand(f: RationalFunction, order: int) -> TruncatedSeries:
 
 
 def char_det(g: RationalMatrix) -> UniPoly:
-    """det(1 - g t), exactly, via the Faddeev-LeVerrier trace recursion.
+    """det(1 - g t), exactly: 1 + c_1 t + ... + c_d t^d.
 
-    The recursion yields the characteristic coefficients c_k with
-    det(s - g) = s^d + c_1 s^(d-1) + ... + c_d, and det(1 - g t) is then
-    1 + c_1 t + ... + c_d t^d.  Division happens only by the integers 1..d,
-    which is harmless in characteristic zero.
+    The coefficients come from `RationalMatrix.char_coefficients`, the
+    Faddeev-LeVerrier trace recursion.
     """
-    d = g.size
-    a = [list(row) for row in g.entries]
-    m = [[_ONE if i == j else _ZERO for j in range(d)] for i in range(d)]
-    coeffs: list[Fraction] = [_ONE]
-    for k in range(1, d + 1):
-        m = [
-            [sum((a[i][l] * m[l][j] for l in range(d)), _ZERO) for j in range(d)]
-            for i in range(d)
-        ]
-        c = -sum((m[i][i] for i in range(d)), _ZERO) / k
-        coeffs.append(c)
-        if k < d:
-            for i in range(d):
-                m[i][i] += c
-    return UniPoly(tuple(coeffs))
+    return UniPoly(g.char_coefficients())
+
+
+def _group_average(group: FiniteGroup, term) -> RationalFunction:
+    """(1/|G|) * sum of term(g) over the elements g of the group."""
+    total = RationalFunction.zero()
+    for g in group.elements:
+        total = total + term(g)
+    return total * Fraction(1, group.order)
 
 
 def molien_classic(group: FiniteGroup) -> RationalFunction:
     """Average of 1/det(1 - g t): the series of the polynomial invariants."""
-    total = RationalFunction.zero()
-    for g in group.elements:
-        total = total + RationalFunction(UniPoly.one(), char_det(g))
-    return total * Fraction(1, group.order)
+    return _group_average(group, lambda g: RationalFunction(UniPoly.one(), char_det(g)))
 
 
 def dicks_formanek(group: FiniteGroup) -> RationalFunction:
     """Average of 1/(1 - tr(g) t): the free-associative trace analogue."""
-    total = RationalFunction.zero()
-    for g in group.elements:
-        den = UniPoly((_ONE, -g.trace()))
-        total = total + RationalFunction(UniPoly.one(), den)
-    return total * Fraction(1, group.order)
+    return _group_average(
+        group, lambda g: RationalFunction(UniPoly.one(), UniPoly((_ONE, -g.trace())))
+    )
 
 
 def hilbert_free_bicomm(d: int) -> RationalFunction:
@@ -382,9 +344,9 @@ def molien_bicomm(group: FiniteGroup) -> RationalFunction:
     needs no eigenvalues and stays in Q.  For the trivial group it reduces
     to `hilbert_free_bicomm`.
     """
-    total = RationalFunction.zero()
-    for g in group.elements:
+
+    def term(g: RationalMatrix) -> RationalFunction:
         bulk = RationalFunction(UniPoly.one(), char_det(g)) - RationalFunction.one()
-        linear = RationalFunction.from_poly(UniPoly((_ZERO, g.trace())))
-        total = total + bulk * bulk + linear
-    return total * Fraction(1, group.order)
+        return bulk * bulk + RationalFunction.from_poly(UniPoly((_ZERO, g.trace())))
+
+    return _group_average(group, term)

@@ -14,16 +14,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra_core import (
     BicommElement,
-    TermKey,
     YZPolynomial,
     basis_component,
-    bulk_monomial_keys,
     compositions,
-    yz_monomial_keys,
+    monomial_table,
 )
 from .group_action import FiniteGroup, act_bulk, reynolds
 
@@ -96,32 +93,24 @@ def rref(rows) -> list[SparseRow]:
     return basis.rows()
 
 
-@lru_cache(maxsize=None)
-def _bulk_index(d: int, n: int) -> dict[TermKey, int]:
-    return {key: i for i, key in enumerate(bulk_monomial_keys(d, n))}
+def poly_to_row(poly: YZPolynomial, degree: int) -> SparseRow:
+    """Coordinates of a degree-n polynomial over `monomial_table(d, n)`."""
+    index = monomial_table(poly.rank, degree).index
+    return {index[key]: c for key, c in poly.terms.items()}
 
 
-@lru_cache(maxsize=None)
-def _bulk_keys(d: int, n: int) -> tuple[TermKey, ...]:
-    return tuple(bulk_monomial_keys(d, n))
-
-
-@lru_cache(maxsize=None)
-def _yz_index(d: int, n: int) -> dict[TermKey, int]:
-    return {key: i for i, key in enumerate(yz_monomial_keys(d, n))}
-
-
-@lru_cache(maxsize=None)
-def _yz_keys(d: int, n: int) -> tuple[TermKey, ...]:
-    return tuple(yz_monomial_keys(d, n))
+def _row_to_poly(row: SparseRow, d: int, degree: int) -> YZPolynomial:
+    keys = monomial_table(d, degree).keys
+    return YZPolynomial(d, {keys[c]: v for c, v in row.items()})
 
 
 def element_to_row(element: BicommElement, degree: int) -> SparseRow:
-    """Coordinates of a homogeneous element over the canonical degree basis."""
+    """Coordinates of a homogeneous element: over the generators in degree 1,
+    over `monomial_table(d, degree)` above (the bulk is one contiguous slice
+    of its columns, so pivots come out in the same order)."""
     if degree == 1:
         return {i: c for i, c in enumerate(element.linear) if c}
-    index = _bulk_index(element.rank, degree)
-    return {index[key]: c for key, c in element.bulk.terms.items()}
+    return poly_to_row(element.bulk, degree)
 
 
 def row_to_element(row: SparseRow, d: int, degree: int) -> BicommElement:
@@ -130,13 +119,7 @@ def row_to_element(row: SparseRow, d: int, degree: int) -> BicommElement:
         for col, value in row.items():
             coeffs[col] = value
         return BicommElement.from_linear(d, coeffs)
-    keys = _bulk_keys(d, degree)
-    return BicommElement.from_bulk(YZPolynomial(d, {keys[c]: v for c, v in row.items()}))
-
-
-def poly_to_row(poly: YZPolynomial, degree: int) -> SparseRow:
-    index = _yz_index(poly.rank, degree)
-    return {index[key]: c for key, c in poly.terms.items()}
+    return BicommElement.from_bulk(_row_to_poly(row, d, degree))
 
 
 @dataclass(frozen=True)
@@ -181,28 +164,29 @@ def commutative_invariant_dimension(group: FiniteGroup, n: int) -> int:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     d = group.rank
-    monomials = list(compositions(n, d))
-    index = {alpha: i for i, alpha in enumerate(monomials)}
     zeros = (0,) * d
     basis = EchelonBasis()
-    for alpha in monomials:
+    for alpha in compositions(n, d):
         averaged = YZPolynomial.zero(d)
         for g in group.elements:
             averaged = averaged + act_bulk(g, YZPolynomial.monomial(d, alpha, zeros))
-        row = {index[a]: c for (a, _), c in averaged.terms.items()}
-        basis.add(row)
+        basis.add(poly_to_row(averaged, n))
     return basis.dimension
 
 
-def _check_homogeneous(elements, minimum_degree: int = 1) -> dict[int, list]:
+def _by_degree(items, what: str) -> dict[int, list]:
+    """Group the nonzero items (elements or polynomials) by their degree.
+
+    Raises ValueError for an item that is not homogeneous.
+    """
     by_degree: dict[int, list] = {}
-    for element in elements:
-        if not element:
+    for item in items:
+        if not item:
             continue
-        degree = element.homogeneous_degree()
-        if degree is None or degree < minimum_degree:
-            raise ValueError(f"generator is not homogeneous of degree >= {minimum_degree}: {element}")
-        by_degree.setdefault(degree, []).append(element)
+        degree = item.homogeneous_degree()
+        if degree is None:
+            raise ValueError(f"{what} is not homogeneous: {item}")
+        by_degree.setdefault(degree, []).append(item)
     return by_degree
 
 
@@ -214,7 +198,7 @@ def _span_levels(generators, max_degree: int, d: int):
     more factors always factor through such a pair, so no deeper bracketing
     is needed.  Order matters: left and right factors play different roles.
     """
-    by_degree = _check_homogeneous(generators)
+    by_degree = _by_degree(generators, "generator")
     spans: dict[int, list[BicommElement]] = {}
     for n in range(1, max_degree + 1):
         basis = EchelonBasis()
@@ -352,18 +336,6 @@ def integral_dependence_polynomial(group: FiniteGroup, variable: str) -> Integra
     return IntegralDependence(variable, tuple(coefficients))
 
 
-def _poly_degree_map(polys, what: str) -> dict[int, list[YZPolynomial]]:
-    by_degree: dict[int, list[YZPolynomial]] = {}
-    for poly in polys:
-        if poly.is_zero():
-            continue
-        degree = poly.homogeneous_degree()
-        if degree is None:
-            raise ValueError(f"{what} is not homogeneous: {poly}")
-        by_degree.setdefault(degree, []).append(poly)
-    return by_degree
-
-
 def coefficient_spans(
     coefficient_generators, max_degree: int, d: int
 ) -> dict[int, list[YZPolynomial]]:
@@ -372,7 +344,7 @@ def coefficient_spans(
     Degree 0 is the scalar 1 (the empty product); degree k collects reduced
     products of a generator with a lower component.
     """
-    by_degree = _poly_degree_map(coefficient_generators, "coefficient generator")
+    by_degree = _by_degree(coefficient_generators, "coefficient generator")
     spans: dict[int, list[YZPolynomial]] = {0: [YZPolynomial.constant(d, 1)]}
     for k in range(1, max_degree + 1):
         basis = EchelonBasis()
@@ -382,10 +354,7 @@ def coefficient_spans(
             for lower in spans[k - degree]:
                 for gen in gens:
                     basis.add(poly_to_row(lower * gen, k))
-        keys = _yz_keys(d, k)
-        spans[k] = [
-            YZPolynomial(d, {keys[c]: v for c, v in row.items()}) for row in basis.rows()
-        ]
+        spans[k] = [_row_to_poly(row, d, k) for row in basis.rows()]
     return spans
 
 
@@ -403,7 +372,7 @@ def module_span_dimension(coefficient_generators, module_generators, n: int) -> 
     if len(ranks) != 1:
         raise ValueError("generators must all share one rank")
     d = ranks.pop()
-    module_by_degree = _poly_degree_map(module_generators, "module generator")
+    module_by_degree = _by_degree(module_generators, "module generator")
     if not module_by_degree:
         return 0
     spans = coefficient_spans(coefficient_generators, n - min(module_by_degree), d)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-from .algebra_core import YZPolynomial
-from .group_action import act_bulk, permutation_matrix, symmetric_group
+from .algebra_core import YZPolynomial, indicator
+from .group_action import act_bulk, adjacent_transpositions, symmetric_group
 from .invariants import (
     EchelonBasis,
     coefficient_spans,
@@ -33,11 +33,8 @@ def elementary_symmetric(alphabet: str, d: int, k: int) -> YZPolynomial:
     zeros = (0,) * d
     terms = {}
     for subset in combinations(range(d), k):
-        exps = [0] * d
-        for i in subset:
-            exps[i] = 1
-        key = (tuple(exps), zeros) if alphabet == "y" else (zeros, tuple(exps))
-        terms[key] = Fraction(1)
+        exps = indicator(d, subset)
+        terms[(exps, zeros) if alphabet == "y" else (zeros, exps)] = Fraction(1)
     return YZPolynomial(d, terms)
 
 
@@ -53,27 +50,16 @@ def polarized_elementary(d: int, p: int, q: int) -> YZPolynomial:
         raise ValueError(f"need p + q <= d, got p={p}, q={q}, d={d}")
     terms = {}
     for i_set in combinations(range(d), p):
+        alpha = indicator(d, i_set)
         remaining = [j for j in range(d) if j not in i_set]
         for j_set in combinations(remaining, q):
-            alpha = [0] * d
-            beta = [0] * d
-            for i in i_set:
-                alpha[i] = 1
-            for j in j_set:
-                beta[j] = 1
-            terms[(tuple(alpha), tuple(beta))] = Fraction(1)
+            terms[(alpha, indicator(d, j_set))] = Fraction(1)
     return YZPolynomial(d, terms)
 
 
 def is_symmetric(poly: YZPolynomial) -> bool:
     """Invariance under the simultaneous index action of each adjacent swap."""
-    d = poly.rank
-    for i in range(d - 1):
-        perm = list(range(d))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        if act_bulk(permutation_matrix(perm), poly) != poly:
-            return False
-    return True
+    return all(act_bulk(g, poly) == poly for g in adjacent_transpositions(poly.rank))
 
 
 @dataclass(frozen=True)

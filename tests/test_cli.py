@@ -97,6 +97,22 @@ class TestHilbertCommand:
         code, _, _ = run_main(capsys, "hilbert", "--group", str(path))
         assert code == EXIT_GROUP_FILE
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"d": True, "generators": [[["1"]]]},
+            {"d": 1, "generators": [[["-\u0661"]]]},
+        ],
+        ids=["boolean rank", "arabic-indic digit"],
+    )
+    def test_lenient_json_values_are_file_errors(self, capsys, tmp_path, document):
+        path = tmp_path / "lenient.group"
+        path.write_text(json.dumps(document))
+        code, out, err = run_main(capsys, "hilbert", "--group", str(path))
+        assert code == EXIT_GROUP_FILE
+        assert out == ""
+        assert "error" in err
+
 
 class TestOtherCommands:
     def test_invariants_lists_bases(self, capsys, s2_file):

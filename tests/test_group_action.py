@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -108,6 +109,36 @@ class TestClosure:
                     power = power * g
                     order += 1
                 assert group.order % order == 0
+
+
+class TestDeterminant:
+    @staticmethod
+    def leibniz(rows):
+        """Sum over permutations of signed products: the textbook oracle."""
+        d = len(rows)
+        total = Fraction(0)
+        for perm in permutations(range(d)):
+            inversions = sum(perm[i] > perm[j] for i in range(d) for j in range(i + 1, d))
+            term = Fraction(-1 if inversions % 2 else 1)
+            for i in range(d):
+                term *= rows[i][perm[i]]
+            total += term
+        return total
+
+    def test_matches_permutation_expansion(self):
+        rng = random.Random(11)
+        for d in range(1, 5):
+            for _ in range(12):
+                rows = [
+                    [Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(d)]
+                    for _ in range(d)
+                ]
+                assert RationalMatrix.from_rows(rows).det() == self.leibniz(rows)
+
+    def test_singular_and_signed_cases(self):
+        assert RationalMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
+        assert RationalMatrix.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
+        assert diagonal_matrix([Fraction(1, 2), 3, -1]).det() == Fraction(-3, 2)
 
 
 class TestAction:
@@ -222,6 +253,11 @@ class TestGroupFiles:
             with pytest.raises(GroupFileError):
                 parse_rational(bad)
 
+    def test_parse_rational_rejects_non_ascii_digits(self):
+        for bad in ("\u0663", "-\u0661", "1/\u0662"):
+            with pytest.raises(GroupFileError):
+                parse_rational(bad)
+
     def test_format_is_canonical(self):
         assert format_rational(Fraction(2, 4)) == "1/2"
         assert format_rational(Fraction(0)) == "0"
@@ -239,6 +275,12 @@ class TestGroupFiles:
     def test_missing_file(self, tmp_path):
         with pytest.raises(GroupFileError):
             read_group_file(tmp_path / "missing.group")
+
+    def test_boolean_rank_rejected(self, tmp_path):
+        path = tmp_path / "bool.group"
+        path.write_text(json.dumps({"d": True, "generators": [[["1"]]]}))
+        with pytest.raises(GroupFileError):
+            read_group_file(path)
 
     def test_malformed_documents(self, tmp_path):
         cases = [

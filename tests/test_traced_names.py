@@ -1,0 +1,38 @@
+"""Every function the benchmark traces by name must exist in the package.
+
+`bench/tracing.py` wraps the functions and methods listed in its `TRACED`
+table by looking them up on `bicomm.<module>`.  The default test run does not
+collect `bench/`, so without this check a refactor that renames or drops one
+of those names would pass here and break only the benchmark.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _traced_names():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TRACED
+
+
+TRACED = _traced_names()
+
+
+@pytest.mark.parametrize(
+    "module_name,attr", TRACED, ids=[f"{module}.{attr}" for module, attr in TRACED]
+)
+def test_traced_name_resolves(module_name, attr):
+    home = importlib.import_module(f"bicomm.{module_name}")
+    if "." in attr:
+        class_name, method = attr.split(".")
+        # The tracer replaces the method in the class's own namespace.
+        assert callable(vars(getattr(home, class_name)).get(method))
+    else:
+        assert callable(getattr(home, attr, None))
