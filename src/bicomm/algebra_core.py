@@ -265,12 +265,6 @@ class YZPolynomial:
     def __pow__(self, exponent: int) -> "YZPolynomial":
         return power_by_squaring(self, exponent, YZPolynomial.constant(self.rank, 1))
 
-    def total_degree(self) -> int:
-        """Largest total degree of a term; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(a) + sum(b) for a, b in self.terms)
-
     def homogeneous_degree(self) -> int | None:
         """The common total degree of all terms, or None if mixed or zero."""
         degrees = {sum(a) + sum(b) for a, b in self.terms}

@@ -24,7 +24,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .algebra_core import BicommElement, random_element, term_sort_key
@@ -231,7 +230,7 @@ def _cmd_symmetric(args) -> int:
         "selected module generators:",
     ]
     for generator in result.generators:
-        lines.append(f"  {generator.label()}  (degree {generator.degree})")
+        lines.append(f"  {generator.label}  (degree {generator.degree})")
     bounds_text = ", ".join(
         f"n_{{{p},{q}}} = {bound}" for (p, q), bound in sorted(result.exponent_bounds.items())
     )
@@ -249,7 +248,7 @@ def _cmd_symmetric(args) -> int:
         "input": {"d": args.d, "max_degree": args.max_degree},
         "results": {
             "generators": [
-                {"label": g.label(), "degree": g.degree} for g in result.generators
+                {"label": g.label, "degree": g.degree} for g in result.generators
             ],
             "exponent_bounds": [
                 {"p": p, "q": q, "bound": bound}
@@ -299,9 +298,7 @@ def _verify_checks(d: int, order: int):
                 reynolds_ok = False
             if any(act(g, averaged) != averaged for g in group.elements):
                 reynolds_ok = False
-        trace_average = sum(
-            (g.trace() for g in group.elements), Fraction(0)
-        ) / group.order
+        trace_average = group.average(RationalMatrix.trace)
         reynolds_ok = reynolds_ok and invariant_dimension(group, 1) == trace_average
         yield (f"{name}: Reynolds operator suite", reynolds_ok)
     identities_ok = True
@@ -342,6 +339,16 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bicomm",
@@ -363,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--group", required=True, help="path to a JSON group file")
         p.add_argument(
             "--cap",
-            type=int,
+            type=_positive_int,
             default=DEFAULT_CLOSURE_CAP,
             help=f"closure size cap (default: {DEFAULT_CLOSURE_CAP})",
         )
@@ -377,7 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="degree-wise invariant bases")
     add_group(p)
     p.add_argument(
-        "--max-degree", type=int, default=6, help="largest degree to compute (default: 6)"
+        "--max-degree",
+        type=_positive_int,
+        default=6,
+        help="largest degree to compute (default: 6)",
     )
     add_format(p)
     p.set_defaults(func=_cmd_invariants)

@@ -14,9 +14,12 @@ written as "p/q" or "p" strings.
 from __future__ import annotations
 
 import json
+import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -151,6 +154,14 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    def average(self, term):
+        """(1/|G|) times the sum of term(g) over the elements g.
+
+        The identity is always an element, so the sum needs no zero of the
+        result type to start from.
+        """
+        return reduce(operator.add, map(term, self.elements)) * Fraction(1, self.order)
+
     def validate(self) -> None:
         """Re-verify all group axioms by brute force (test support)."""
         if len(set(self.elements)) != len(self.elements):
@@ -168,6 +179,20 @@ class FiniteGroup:
                     raise ValueError("not closed under products")
 
 
+# The largest order of a finite subgroup of GL_d(Q) for d = 1..10 (Feit 1995;
+# Friedland 1997).  Above d = 10 it is 2^d d!, the signed permutations.
+_MAX_FINITE_ORDERS = (
+    2, 12, 48, 1152, 3840, 103680, 2903040, 696729600, 1393459200, 8360755200
+)
+
+
+def max_finite_order(d: int) -> int:
+    """B(d): no finite subgroup of GL_d(Q) has more than this many elements."""
+    if d <= len(_MAX_FINITE_ORDERS):
+        return _MAX_FINITE_ORDERS[d - 1]
+    return 2**d * math.factorial(d)
+
+
 def group_closure(
     generators: Iterable[RationalMatrix],
     cap: int = DEFAULT_CLOSURE_CAP,
@@ -178,7 +203,8 @@ def group_closure(
     Elements are enumerated deterministically: the queue is processed in
     discovery order and each element is multiplied on the right by the
     generators in their given order.  Raises `CapExceededError` once the
-    closure grows past `cap` and `SingularMatrixError` for a non-invertible
+    closure grows past `cap`, or past `max_finite_order(rank)`, which only
+    an infinite group can do, and `SingularMatrixError` for a non-invertible
     generator.
     """
     gens = list(generators)
@@ -191,6 +217,8 @@ def group_closure(
             raise ValueError("generators must all have the same size")
         if g.det() == 0:
             raise SingularMatrixError(f"generator is singular: {g}")
+    bound = max_finite_order(rank)
+    limit = min(cap, bound)
     identity = RationalMatrix.identity(rank)
     elements = [identity]
     seen = {identity}
@@ -201,9 +229,10 @@ def group_closure(
         for g in gens:
             nxt = current * g
             if nxt not in seen:
-                if len(elements) + 1 > cap:
+                if len(elements) + 1 > limit:
                     raise CapExceededError(
-                        f"group closure exceeded cap of {cap} elements"
+                        f"group closure exceeded cap of {limit} elements (no "
+                        f"finite subgroup of GL_{rank}(Q) has more than {bound})"
                     )
                 seen.add(nxt)
                 elements.append(nxt)
@@ -241,33 +270,19 @@ def act_linear(g: RationalMatrix, coeffs: Sequence[Fraction]) -> tuple[Fraction,
 def act_bulk(g: RationalMatrix, poly: YZPolynomial) -> YZPolynomial:
     """Simultaneous substitution y_j -> sum_i g[i][j] y_i, z_j likewise.
 
-    Exact expansion with per-call memoization of variable powers; preserves
-    the bidegree of homogeneous inputs.
+    Exact expansion; preserves the bidegree of homogeneous inputs.
     """
     d = poly.rank
     if g.size != d:
         raise ValueError("rank mismatch between matrix and polynomial")
     columns = tuple(zip(*g.entries))
-    powers: dict[tuple[str, int, int], YZPolynomial] = {}
-
-    def power(alphabet: str, j: int, e: int) -> YZPolynomial:
-        """The e-th power of the image of variable j, built on first use."""
-        key = (alphabet, j, e)
-        got = powers.get(key)
-        if got is None:
-            got = YZPolynomial.linear(alphabet, columns[j]) ** e
-            powers[key] = got
-        return got
-
     total = YZPolynomial.zero(d)
     for (alpha, beta), coeff in poly.terms.items():
         term = YZPolynomial.constant(d, coeff)
-        for j, e in enumerate(alpha):
-            if e:
-                term = term * power("y", j, e)
-        for j, e in enumerate(beta):
-            if e:
-                term = term * power("z", j, e)
+        for alphabet, exponents in (("y", alpha), ("z", beta)):
+            for j, e in enumerate(exponents):
+                if e:
+                    term = term * YZPolynomial.linear(alphabet, columns[j]) ** e
         total = total + term
     return total
 
@@ -285,10 +300,7 @@ def reynolds(group: FiniteGroup, element: BicommElement) -> BicommElement:
     """Group average of the orbit of `element`: the projection onto invariants."""
     if group.rank != element.rank:
         raise ValueError("rank mismatch between group and element")
-    total = BicommElement.zero(element.rank)
-    for g in group.elements:
-        total = total + act(g, element)
-    return total * Fraction(1, group.order)
+    return group.average(lambda g: act(g, element))
 
 
 # [0-9], not \d: int() would also accept digits of other scripts.

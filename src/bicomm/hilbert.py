@@ -177,10 +177,6 @@ class RationalFunction:
 
     def __post_init__(self) -> None:
         num, den = self.numerator, self.denominator
-        if not isinstance(num, UniPoly):
-            num = UniPoly.from_coeffs(num)
-        if not isinstance(den, UniPoly):
-            den = UniPoly.from_coeffs(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
@@ -240,9 +236,6 @@ class RationalFunction:
         if isinstance(other, (int, Fraction)):
             return self * other
         return NotImplemented
-
-    def reciprocal(self) -> "RationalFunction":
-        return RationalFunction(self.denominator, self.numerator)
 
     def __str__(self) -> str:
         if self.denominator == UniPoly.one():
@@ -305,23 +298,15 @@ def char_det(g: RationalMatrix) -> UniPoly:
     return UniPoly(g.char_coefficients())
 
 
-def _group_average(group: FiniteGroup, term) -> RationalFunction:
-    """(1/|G|) * sum of term(g) over the elements g of the group."""
-    total = RationalFunction.zero()
-    for g in group.elements:
-        total = total + term(g)
-    return total * Fraction(1, group.order)
-
-
 def molien_classic(group: FiniteGroup) -> RationalFunction:
     """Average of 1/det(1 - g t): the series of the polynomial invariants."""
-    return _group_average(group, lambda g: RationalFunction(UniPoly.one(), char_det(g)))
+    return group.average(lambda g: RationalFunction(UniPoly.one(), char_det(g)))
 
 
 def dicks_formanek(group: FiniteGroup) -> RationalFunction:
     """Average of 1/(1 - tr(g) t): the free-associative trace analogue."""
-    return _group_average(
-        group, lambda g: RationalFunction(UniPoly.one(), UniPoly((_ONE, -g.trace())))
+    return group.average(
+        lambda g: RationalFunction(UniPoly.one(), UniPoly((_ONE, -g.trace())))
     )
 
 
@@ -349,4 +334,4 @@ def molien_bicomm(group: FiniteGroup) -> RationalFunction:
         bulk = RationalFunction(UniPoly.one(), char_det(g)) - RationalFunction.one()
         return bulk * bulk + RationalFunction.from_poly(UniPoly((_ZERO, g.trace())))
 
-    return _group_average(group, term)
+    return group.average(term)

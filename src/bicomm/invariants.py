@@ -167,10 +167,8 @@ def commutative_invariant_dimension(group: FiniteGroup, n: int) -> int:
     zeros = (0,) * d
     basis = EchelonBasis()
     for alpha in compositions(n, d):
-        averaged = YZPolynomial.zero(d)
-        for g in group.elements:
-            averaged = averaged + act_bulk(g, YZPolynomial.monomial(d, alpha, zeros))
-        basis.add(poly_to_row(averaged, n))
+        monomial = YZPolynomial.monomial(d, alpha, zeros)
+        basis.add(poly_to_row(group.average(lambda g: act_bulk(g, monomial)), n))
     return basis.dimension
 
 
@@ -336,6 +334,27 @@ def integral_dependence_polynomial(group: FiniteGroup, variable: str) -> Integra
     return IntegralDependence(variable, tuple(coefficients))
 
 
+def add_products(
+    basis: EchelonBasis,
+    spans: dict[int, list[YZPolynomial]],
+    generators_by_degree: dict[int, list[YZPolynomial]],
+    n: int,
+) -> bool:
+    """Add the degree-n rows of lower * gen to `basis`; return whether it grew.
+
+    Covers every generator gen of each degree k <= n and every lower in
+    spans[n - k].  Every row is added, even once the span has grown.
+    """
+    grew = False
+    for k, gens in generators_by_degree.items():
+        if k > n:
+            continue
+        for lower in spans[n - k]:
+            for gen in gens:
+                grew |= basis.add(poly_to_row(lower * gen, n))
+    return grew
+
+
 def coefficient_spans(
     coefficient_generators, max_degree: int, d: int
 ) -> dict[int, list[YZPolynomial]]:
@@ -348,12 +367,7 @@ def coefficient_spans(
     spans: dict[int, list[YZPolynomial]] = {0: [YZPolynomial.constant(d, 1)]}
     for k in range(1, max_degree + 1):
         basis = EchelonBasis()
-        for degree, gens in by_degree.items():
-            if degree > k:
-                continue
-            for lower in spans[k - degree]:
-                for gen in gens:
-                    basis.add(poly_to_row(lower * gen, k))
+        add_products(basis, spans, by_degree, k)
         spans[k] = [_row_to_poly(row, d, k) for row in basis.rows()]
     return spans
 
@@ -377,10 +391,5 @@ def module_span_dimension(coefficient_generators, module_generators, n: int) -> 
         return 0
     spans = coefficient_spans(coefficient_generators, n - min(module_by_degree), d)
     basis = EchelonBasis()
-    for degree, gens in module_by_degree.items():
-        if degree > n:
-            continue
-        for coefficient in spans[n - degree]:
-            for gen in gens:
-                basis.add(poly_to_row(coefficient * gen, n))
+    add_products(basis, spans, module_by_degree, n)
     return basis.dimension

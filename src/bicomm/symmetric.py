@@ -18,9 +18,9 @@ from .algebra_core import YZPolynomial, indicator
 from .group_action import act_bulk, adjacent_transpositions, symmetric_group
 from .invariants import (
     EchelonBasis,
+    add_products,
     coefficient_spans,
     invariant_basis,
-    poly_to_row,
 )
 
 
@@ -101,51 +101,14 @@ def verify_d2_identity() -> D2IdentityReport:
 
 
 @dataclass(frozen=True)
-class SymmetricGeneratorTag:
-    """Names one symmetric building block: e_k(Y), e_k(Z) or e_{p,q}(Y,Z)."""
-
-    kind: str  # "e_y" | "e_z" | "e_pq"
-    p: int
-    q: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("e_y", "e_z", "e_pq"):
-            raise ValueError(f"unknown tag kind {self.kind!r}")
-        if self.p < 1 or (self.kind == "e_pq" and self.q < 1):
-            raise ValueError("tag parameters must be >= 1")
-
-    @property
-    def degree(self) -> int:
-        return self.p + self.q if self.kind == "e_pq" else self.p
-
-    def polynomial(self, d: int) -> YZPolynomial:
-        if self.kind == "e_y":
-            return elementary_symmetric("y", d, self.p)
-        if self.kind == "e_z":
-            return elementary_symmetric("z", d, self.p)
-        return polarized_elementary(d, self.p, self.q)
-
-    def label(self) -> str:
-        if self.kind == "e_y":
-            return f"e_{self.p}(Y)"
-        if self.kind == "e_z":
-            return f"e_{self.p}(Z)"
-        return f"e_{{{self.p},{self.q}}}"
-
-
-@dataclass(frozen=True)
 class ModuleGenerator:
-    """A candidate module generator: a product of tagged symmetric blocks."""
+    """A candidate module generator: e_p(Y) e_q(Z), or a product of powers of
+    polarizations e_{p,q} with `polarizations` holding ((p, q), exponent)."""
 
-    tags: tuple[tuple[SymmetricGeneratorTag, int], ...]
-    polynomial: YZPolynomial
+    label: str
     degree: int
-
-    def label(self) -> str:
-        parts = []
-        for tag, exponent in self.tags:
-            parts.append(tag.label() if exponent == 1 else f"{tag.label()}^{exponent}")
-        return "*".join(parts)
+    polynomial: YZPolynomial
+    polarizations: tuple[tuple[tuple[int, int], int], ...]
 
 
 @dataclass(frozen=True)
@@ -173,42 +136,39 @@ class SymmetricModuleGenerators:
         return all(entry.saturated for entry in self.saturation)
 
 
-def _polarization_product_candidates(d: int, bound: int) -> list[ModuleGenerator]:
+def module_candidates(d: int, bound: int) -> list[ModuleGenerator]:
+    """Every candidate of degree <= bound, in search order.
+
+    By degree; at equal degree the pair products e_p(Y) e_q(Z) in (p, q)
+    order, then the polarization products by their exponent vectors over
+    the pairs (p, q) ordered by (p + q, p).
+    """
+    keyed = []
+    for p in range(1, d + 1):
+        for q in range(1, d + 1):
+            if p + q <= bound:
+                poly = elementary_symmetric("y", d, p) * elementary_symmetric("z", d, q)
+                label = f"e_{p}(Y)*e_{q}(Z)"
+                keyed.append(((p + q, 0), ModuleGenerator(label, p + q, poly, ())))
     pq_list = sorted(
         ((p, q) for p in range(1, d) for q in range(1, d) if p + q <= d),
         key=lambda pq: (pq[0] + pq[1], pq[0]),
     )
     polys = {pq: polarized_elementary(d, *pq) for pq in pq_list}
-    ranges = [range(bound // (p + q) + 1) for p, q in pq_list]
-    keyed = []
-    for exponents in product(*ranges):
+    for exponents in product(*(range(bound // (p + q) + 1) for p, q in pq_list)):
         degree = sum(e * (p + q) for e, (p, q) in zip(exponents, pq_list))
-        if sum(exponents) < 1 or degree > bound:
+        if not any(exponents) or degree > bound:
             continue
+        used = tuple((pq, e) for pq, e in zip(pq_list, exponents) if e)
         poly = YZPolynomial.constant(d, 1)
-        tags = []
-        for e, pq in zip(exponents, pq_list):
-            if e:
-                poly = poly * polys[pq] ** e
-                tags.append((SymmetricGeneratorTag("e_pq", *pq), e))
-        keyed.append(((degree, exponents), ModuleGenerator(tuple(tags), poly, degree)))
+        for pq, e in used:
+            poly = poly * polys[pq] ** e
+        label = "*".join(
+            f"e_{{{p},{q}}}" + (f"^{e}" if e > 1 else "") for (p, q), e in used
+        )
+        keyed.append(((degree, 1, exponents), ModuleGenerator(label, degree, poly, used)))
     keyed.sort(key=lambda pair: pair[0])
-    return [generator for _, generator in keyed]
-
-
-def _pair_product_candidates(d: int, bound: int) -> list[ModuleGenerator]:
-    candidates = []
-    for p in range(1, d + 1):
-        for q in range(1, d + 1):
-            if p + q > bound:
-                continue
-            poly = elementary_symmetric("y", d, p) * elementary_symmetric("z", d, q)
-            tags = (
-                (SymmetricGeneratorTag("e_y", p), 1),
-                (SymmetricGeneratorTag("e_z", q), 1),
-            )
-            candidates.append(ModuleGenerator(tags, poly, p + q))
-    return candidates
+    return [candidate for _, candidate in keyed]
 
 
 def symmetric_module_generators(d: int, degree_bound: int) -> SymmetricModuleGenerators:
@@ -247,22 +207,16 @@ def symmetric_module_generators(d: int, degree_bound: int) -> SymmetricModuleGen
             if module_bases[n].dimension < invariant_dims[n]
         ]
 
-    candidates = _pair_product_candidates(d, degree_bound)
-    candidates += _polarization_product_candidates(d, degree_bound)
-    candidates.sort(
-        key=lambda c: (c.degree, 1 if c.tags[0][0].kind == "e_pq" else 0)
-    )
     selected: list[ModuleGenerator] = []
-    for candidate in candidates:
+    for candidate in module_candidates(d, degree_bound):
         if not unsaturated_degrees(2):
             break
         if not unsaturated_degrees(candidate.degree):
             continue
+        gens = {candidate.degree: [candidate.polynomial]}
         improved = False
         for n in range(candidate.degree, degree_bound + 1):
-            for coefficient in spans[n - candidate.degree]:
-                if module_bases[n].add(poly_to_row(coefficient * candidate.polynomial, n)):
-                    improved = True
+            improved |= add_products(module_bases[n], spans, gens, n)
         if improved:
             selected.append(candidate)
     saturation = tuple(
@@ -271,10 +225,8 @@ def symmetric_module_generators(d: int, degree_bound: int) -> SymmetricModuleGen
     )
     bounds: dict[tuple[int, int], int] = {}
     for generator in selected:
-        for tag, exponent in generator.tags:
-            if tag.kind == "e_pq":
-                key = (tag.p, tag.q)
-                bounds[key] = max(bounds.get(key, 0), exponent)
+        for pq, exponent in generator.polarizations:
+            bounds[pq] = max(bounds.get(pq, 0), exponent)
     return SymmetricModuleGenerators(
         rank=d,
         degree_bound=degree_bound,

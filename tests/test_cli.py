@@ -78,6 +78,14 @@ class TestHilbertCommand:
         assert code == EXIT_CAP
         assert "cap" in err
 
+    def test_infinite_group_exceeds_rank_bound(self, capsys, tmp_path):
+        path = tmp_path / "scaling.group"
+        path.write_text(json.dumps({"d": 2, "generators": [[["2", "0"], ["0", "1"]]]}))
+        code, out, err = run_main(capsys, "hilbert", "--group", str(path))
+        assert code == EXIT_CAP
+        assert out == ""
+        assert "cap of 12 elements" in err
+
     def test_missing_group_file(self, capsys, tmp_path):
         code, _, err = run_main(capsys, "hilbert", "--group", str(tmp_path / "nope"))
         assert code == EXIT_GROUP_FILE
@@ -184,6 +192,10 @@ class TestArgumentHandling:
             ["hilbert", "--group", s2_file, "--order", "-1"],
             ["nonfg", "--group", s2_file, "--cutoff", "0"],
             ["symmetric", "--d", "1"],
+            ["hilbert", "--group", s2_file, "--cap", "0"],
+            ["hilbert", "--group", s2_file, "--cap", "-5"],
+            ["invariants", "--group", s2_file, "--max-degree", "0"],
+            ["invariants", "--group", s2_file, "--max-degree", "-2"],
         ):
             code = main(argv)
             captured = capsys.readouterr()

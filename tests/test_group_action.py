@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -26,7 +27,7 @@ from bicomm import (
     symmetric_group,
     trivial_group,
 )
-from bicomm.group_action import GroupFileError
+from bicomm.group_action import GroupFileError, adjacent_transpositions, max_finite_order
 
 SWAP = permutation_matrix((1, 0))
 ROTATION = RationalMatrix.from_rows([[0, -1], [1, 0]])
@@ -73,6 +74,29 @@ class TestClosure:
         shear = RationalMatrix.from_rows([[1, 1], [0, 1]])
         with pytest.raises(CapExceededError):
             group_closure([shear], cap=1000)
+
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            [[[1, 1], [0, 1]]],
+            [[[1, 0], [0, -1]], [[1, 1], [0, -1]]],
+        ],
+        ids=["shear", "infinite dihedral"],
+    )
+    def test_infinite_group_stops_at_rank_bound(self, generators):
+        # The default cap is far above 12, the largest finite order at d = 2.
+        with pytest.raises(CapExceededError, match=r"cap of 12 elements.*GL_2\(Q\)"):
+            group_closure([RationalMatrix.from_rows(g) for g in generators])
+
+    def test_groups_at_the_rank_bound_close(self):
+        hexagonal = RationalMatrix.from_rows([[1, -1], [1, 0]])
+        assert group_closure([hexagonal, SWAP]).order == max_finite_order(2) == 12
+        signed = adjacent_transpositions(3) + [diagonal_matrix([-1, 1, 1])]
+        assert group_closure(signed).order == max_finite_order(3) == 48
+
+    def test_rank_bound_covers_signed_permutations(self):
+        for d in range(1, 13):
+            assert max_finite_order(d) >= 2**d * math.factorial(d)
 
     def test_singular_generator_rejected(self):
         with pytest.raises(SingularMatrixError):

@@ -16,6 +16,7 @@ from bicomm import (
 )
 from bicomm.algebra_core import yz_monomial_keys
 from bicomm.invariants import EchelonBasis, coefficient_spans, poly_to_row
+from bicomm.symmetric import module_candidates
 
 
 def full_two_alphabet_invariant_dimension(d, n):
@@ -143,9 +144,25 @@ class TestGeneration:
 
 
 class TestModuleGeneratorSearch:
+    def test_candidate_order_rank_four(self):
+        # Rank 4 has the most polarization products of equal degree, so
+        # this pins the order among ties.
+        labels = [c.label for c in module_candidates(4, 6)]
+        assert labels == [
+            "e_1(Y)*e_1(Z)", "e_{1,1}",
+            "e_1(Y)*e_2(Z)", "e_2(Y)*e_1(Z)", "e_{2,1}", "e_{1,2}",
+            "e_1(Y)*e_3(Z)", "e_2(Y)*e_2(Z)", "e_3(Y)*e_1(Z)",
+            "e_{3,1}", "e_{2,2}", "e_{1,3}", "e_{1,1}^2",
+            "e_1(Y)*e_4(Z)", "e_2(Y)*e_3(Z)", "e_3(Y)*e_2(Z)", "e_4(Y)*e_1(Z)",
+            "e_{1,1}*e_{2,1}", "e_{1,1}*e_{1,2}",
+            "e_2(Y)*e_4(Z)", "e_3(Y)*e_3(Z)", "e_4(Y)*e_2(Z)",
+            "e_{2,1}^2", "e_{1,2}*e_{2,1}", "e_{1,2}^2",
+            "e_{1,1}*e_{3,1}", "e_{1,1}*e_{2,2}", "e_{1,1}*e_{1,3}", "e_{1,1}^3",
+        ]
+
     def test_rank_two_discovery(self):
         result = symmetric_module_generators(2, 4)
-        labels = [g.label() for g in result.generators]
+        labels = [g.label for g in result.generators]
         assert "e_{1,1}" in labels
         assert result.exponent_bounds == {(1, 1): 1}
         allowed = {
