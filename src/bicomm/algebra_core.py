@@ -122,8 +122,26 @@ def format_terms(parts: list[tuple[Fraction, str]]) -> str:
     return "".join(chunks)
 
 
+class ExactArithmetic:
+    """`-` and reflected scalar `*`, defined once for the exact value types.
+
+    A subclass supplies `__add__`, `__neg__` and a `__mul__` that accepts an
+    int or a Fraction; scalars commute with every value here.
+    """
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self * other
+        return NotImplemented
+
+
 @dataclass(frozen=True)
-class YZPolynomial:
+class YZPolynomial(ExactArithmetic):
     """Sparse exact polynomial in the 2d commuting variables y_1..y_d, z_1..z_d.
 
     `terms` maps (y-exponents, z-exponents) to a nonzero Fraction.  Instances
@@ -227,11 +245,6 @@ class YZPolynomial:
     def __neg__(self) -> "YZPolynomial":
         return YZPolynomial(self.rank, {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other: "YZPolynomial") -> "YZPolynomial":
-        if not isinstance(other, YZPolynomial):
-            return NotImplemented
-        return self + (-other)
-
     def _scaled(self, factor: Fraction) -> "YZPolynomial":
         if not factor:
             return YZPolynomial.zero(self.rank)
@@ -253,11 +266,6 @@ class YZPolynomial:
                     else:
                         out.pop(key, None)
             return YZPolynomial(self.rank, out)
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
-        return NotImplemented
-
-    def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scaled(Fraction(other))
         return NotImplemented
@@ -285,7 +293,7 @@ class YZPolynomial:
 
 
 @dataclass(frozen=True)
-class BicommElement:
+class BicommElement(ExactArithmetic):
     """An algebra element: a linear combination of the x_i plus a bulk polynomial.
 
     The linear part is stored densely (one Fraction per generator), the bulk
@@ -305,10 +313,6 @@ class BicommElement:
             raise ValueError("bulk polynomial has mismatched rank")
         if not self.bulk.is_bulk():
             raise ValueError("bulk part contains a monomial missing a y or z factor")
-
-    @classmethod
-    def zero(cls, rank: int) -> "BicommElement":
-        return cls(rank, (_ZERO,) * rank, YZPolynomial.zero(rank))
 
     @classmethod
     def generator(cls, rank: int, index: int) -> "BicommElement":
@@ -345,11 +349,6 @@ class BicommElement:
     def __neg__(self) -> "BicommElement":
         return BicommElement(self.rank, tuple(-c for c in self.linear), -self.bulk)
 
-    def __sub__(self, other: "BicommElement") -> "BicommElement":
-        if not isinstance(other, BicommElement):
-            return NotImplemented
-        return self + (-other)
-
     def _scaled(self, factor: Fraction) -> "BicommElement":
         return BicommElement(
             self.rank,
@@ -370,11 +369,6 @@ class BicommElement:
             left = YZPolynomial.linear("y", self.linear) + self.bulk
             right = YZPolynomial.linear("z", other.linear) + other.bulk
             return BicommElement.from_bulk(left * right)
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
-        return NotImplemented
-
-    def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._scaled(Fraction(other))
         return NotImplemented
@@ -483,17 +477,16 @@ def _random_exponents(rng: Random, total: int, parts: int) -> Exponents:
     return tuple(exps)
 
 
-def random_element(
-    rng: Random, d: int, max_degree: int = 4, max_terms: int = 3
-) -> BicommElement:
-    """A sparse random element with small rational coefficients.
+def random_element(rng: Random, d: int) -> BicommElement:
+    """A sparse random element with small rational coefficients: up to three
+    bulk terms of degree 2..4.
 
     Used by the identity checks: exact equalities over random inputs.
     """
     linear = tuple(Fraction(rng.randint(-2, 2)) for _ in range(d))
     terms: dict[TermKey, Fraction] = {}
-    for _ in range(rng.randint(0, max_terms)):
-        n = rng.randint(2, max(2, max_degree))
+    for _ in range(rng.randint(0, 3)):
+        n = rng.randint(2, 4)
         a = rng.randint(1, n - 1)
         key = (_random_exponents(rng, a, d), _random_exponents(rng, n - a, d))
         coeff = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))

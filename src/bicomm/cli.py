@@ -24,6 +24,7 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import asdict
 
 from . import __version__
 from .algebra_core import BicommElement, random_element, term_sort_key
@@ -109,14 +110,6 @@ def _load_group_header(args, **inputs) -> tuple[FiniteGroup, list[str], dict]:
     return group, lines, dict(payload, **inputs)
 
 
-def _emit(args, plain_lines: list[str], document: dict) -> None:
-    if args.format == "structured":
-        print(json.dumps(document, indent=2))
-    else:
-        for line in plain_lines:
-            print(line)
-
-
 def catalogued_groups(d: int) -> list[tuple[str, FiniteGroup]]:
     """The desk-scale catalogue of test groups available at rank d."""
     groups: list[tuple[str, FiniteGroup]] = [("trivial", trivial_group(d))]
@@ -135,7 +128,7 @@ def catalogued_groups(d: int) -> list[tuple[str, FiniteGroup]]:
     return groups
 
 
-def _cmd_hilbert(args) -> int:
+def _cmd_hilbert(args) -> tuple[int, list[str], dict]:
     order = args.order
     group, lines, payload = _load_group_header(args, order=order, cap=args.cap)
     results = {
@@ -157,11 +150,10 @@ def _cmd_hilbert(args) -> int:
         "input": payload,
         "results": payload_results,
     }
-    _emit(args, lines, document)
-    return EXIT_OK
+    return EXIT_OK, lines, document
 
 
-def _cmd_invariants(args) -> int:
+def _cmd_invariants(args) -> tuple[int, list[str], dict]:
     group, lines, payload = _load_group_header(args, max_degree=args.max_degree)
     lines.append("")
     degrees = []
@@ -182,17 +174,15 @@ def _cmd_invariants(args) -> int:
         "input": payload,
         "results": {"degrees": degrees},
     }
-    _emit(args, lines, document)
-    return EXIT_OK
+    return EXIT_OK, lines, document
 
 
-def _cmd_nonfg(args) -> int:
+def _cmd_nonfg(args) -> tuple[int, list[str], dict]:
     group, lines, payload = _load_group_header(
         args, cutoff=args.cutoff, max_degree=args.max_degree
     )
     report = nonfg_witness(group, args.cutoff, args.max_degree)
     lines += [f"searched degrees up to {args.max_degree}", ""]
-    entries = []
     for gap in report.gaps:
         if gap.gap_degree is None:
             lines.append(
@@ -204,24 +194,15 @@ def _cmd_nonfg(args) -> int:
                 f"(subalgebra span {gap.span_dimension} < invariants "
                 f"{gap.invariant_dimension})"
             )
-        entries.append(
-            {
-                "cutoff": gap.cutoff,
-                "gap_degree": gap.gap_degree,
-                "span_dimension": gap.span_dimension,
-                "invariant_dimension": gap.invariant_dimension,
-            }
-        )
     document = {
         "command": "nonfg",
         "input": payload,
-        "results": {"gaps": entries},
+        "results": {"gaps": [asdict(gap) for gap in report.gaps]},
     }
-    _emit(args, lines, document)
-    return EXIT_OK
+    return EXIT_OK, lines, document
 
 
-def _cmd_symmetric(args) -> int:
+def _cmd_symmetric(args) -> tuple[int, list[str], dict]:
     result = symmetric_module_generators(args.d, args.max_degree)
     lines = [
         f"rank d: {args.d}",
@@ -255,19 +236,12 @@ def _cmd_symmetric(args) -> int:
                 for (p, q), bound in sorted(result.exponent_bounds.items())
             ],
             "saturation": [
-                {
-                    "degree": e.degree,
-                    "span_dimension": e.span_dimension,
-                    "invariant_dimension": e.invariant_dimension,
-                    "saturated": e.saturated,
-                }
-                for e in result.saturation
+                dict(asdict(e), saturated=e.saturated) for e in result.saturation
             ],
             "saturated_everywhere": result.saturated_everywhere(),
         },
     }
-    _emit(args, lines, document)
-    return EXIT_OK if result.saturated_everywhere() else EXIT_MISMATCH
+    return (EXIT_OK if result.saturated_everywhere() else EXIT_MISMATCH), lines, document
 
 
 def _verify_checks(d: int, order: int):
@@ -319,7 +293,7 @@ def _verify_checks(d: int, order: int):
     yield ("two-alphabet symmetric identity at rank 2", report.holds)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, list[str], dict]:
     checks = []
     all_ok = True
     lines = [f"verification suite: d={args.d}, order={args.order}", ""]
@@ -335,8 +309,7 @@ def _cmd_verify(args) -> int:
         "input": {"d": args.d, "order": args.order},
         "results": {"checks": checks, "all_passed": all_ok},
     }
-    _emit(args, lines, document)
-    return EXIT_OK if all_ok else EXIT_MISMATCH
+    return (EXIT_OK if all_ok else EXIT_MISMATCH), lines, document
 
 
 def _positive_int(text: str) -> int:
@@ -427,7 +400,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code, lines, document = args.func(args)
     except GroupFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GROUP_FILE
@@ -437,6 +410,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.format == "structured":
+        print(json.dumps(document, indent=2))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

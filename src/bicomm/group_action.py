@@ -188,6 +188,8 @@ _MAX_FINITE_ORDERS = (
 
 def max_finite_order(d: int) -> int:
     """B(d): no finite subgroup of GL_d(Q) has more than this many elements."""
+    if d < 1:
+        raise ValueError(f"rank must be >= 1, got {d}")
     if d <= len(_MAX_FINITE_ORDERS):
         return _MAX_FINITE_ORDERS[d - 1]
     return 2**d * math.factorial(d)
@@ -312,12 +314,16 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise GroupFileError(f"not a rational literal: {text!r}")
     value = text.strip()
-    if "/" in value:
-        num, den = value.split("/")
-        if int(den) == 0:
-            raise GroupFileError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(value))
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise GroupFileError(f"zero denominator in {text!r}") from None
+    except ValueError:
+        # More digits than int() converts (sys.get_int_max_str_digits); the
+        # limit guards against quadratic-time conversion, so it stays.
+        raise GroupFileError(
+            f"rational literal of {len(value)} characters is too long"
+        ) from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -339,13 +345,15 @@ def group_file_document(rank: int, generators: Iterable[RationalMatrix]) -> dict
 def read_group_file(path) -> tuple[int, list[RationalMatrix]]:
     """Parse and validate a group file; returns (rank, generator matrices)."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise GroupFileError(f"cannot read group file {path}: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GroupFileError(f"group file {path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise GroupFileError(f"group file {path} is nested too deeply") from None
     if not isinstance(doc, dict):
         raise GroupFileError("group file must be a JSON object")
     if "d" not in doc or "generators" not in doc:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra_core import format_terms, power_by_squaring
+from .algebra_core import ExactArithmetic, format_terms, power_by_squaring
 from .group_action import FiniteGroup, RationalMatrix
 
 _ZERO = Fraction(0)
@@ -30,7 +30,7 @@ _ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
-class UniPoly:
+class UniPoly(ExactArithmetic):
     """Univariate polynomial in t: ascending coefficients, no trailing zeros."""
 
     coeffs: tuple[Fraction, ...]
@@ -56,10 +56,6 @@ class UniPoly:
     @classmethod
     def t(cls) -> "UniPoly":
         return cls((_ZERO, _ONE))
-
-    @classmethod
-    def constant(cls, value) -> "UniPoly":
-        return cls((Fraction(value),))
 
     @property
     def degree(self) -> int:
@@ -89,11 +85,6 @@ class UniPoly:
     def __neg__(self) -> "UniPoly":
         return UniPoly(tuple(-c for c in self.coeffs))
 
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, UniPoly):
             if not self.coeffs or not other.coeffs:
@@ -107,11 +98,6 @@ class UniPoly:
         if isinstance(other, (int, Fraction)):
             factor = Fraction(other)
             return UniPoly(tuple(c * factor for c in self.coeffs))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "UniPoly":
@@ -163,7 +149,7 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 @dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(ExactArithmetic):
     """Canonical rational function in t.
 
     Construction normalizes: gcd divided out, then both parts scaled so the
@@ -195,10 +181,6 @@ class RationalFunction:
         object.__setattr__(self, "denominator", den)
 
     @classmethod
-    def zero(cls) -> "RationalFunction":
-        return cls(UniPoly.zero(), UniPoly.one())
-
-    @classmethod
     def one(cls) -> "RationalFunction":
         return cls(UniPoly.one(), UniPoly.one())
 
@@ -217,11 +199,6 @@ class RationalFunction:
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.numerator, self.denominator)
 
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, RationalFunction):
             return RationalFunction(
@@ -230,11 +207,6 @@ class RationalFunction:
             )
         if isinstance(other, (int, Fraction)):
             return RationalFunction(self.numerator * Fraction(other), self.denominator)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
         return NotImplemented
 
     def __str__(self) -> str:

@@ -188,26 +188,19 @@ def _by_degree(items, what: str) -> dict[int, list]:
     return by_degree
 
 
-def _span_levels(generators, max_degree: int, d: int):
-    """Yield (degree, reduced span basis) of the generated subalgebra, bottom-up.
+def _product_span(spans: dict[int, list[BicommElement]], n: int, d: int) -> EchelonBasis:
+    """The span of every ordered product u * v, u in spans[a], v in spans[n - a].
 
-    Degree n is spanned by the degree-n generators together with all ordered
-    pairwise products of lower-degree span elements; products of three or
-    more factors always factor through such a pair, so no deeper bracketing
-    is needed.  Order matters: left and right factors play different roles.
+    Given the lower components of a subalgebra, this plus its degree-n
+    generators is its degree-n component: longer products factor through
+    such a pair.  Order matters: left and right factors play different roles.
     """
-    by_degree = _by_degree(generators, "generator")
-    spans: dict[int, list[BicommElement]] = {}
-    for n in range(1, max_degree + 1):
-        basis = EchelonBasis()
-        for gen in by_degree.get(n, ()):
-            basis.add(element_to_row(gen, n))
-        for a in range(1, n):
-            for u in spans[a]:
-                for v in spans[n - a]:
-                    basis.add(element_to_row(u * v, n))
-        spans[n] = [row_to_element(r, d, n) for r in basis.rows()]
-        yield n, spans[n]
+    basis = EchelonBasis()
+    for a in range(1, n):
+        for u in spans[a]:
+            for v in spans[n - a]:
+                basis.add(element_to_row(u * v, n))
+    return basis
 
 
 def subalgebra_span_dimension(generators, n: int) -> int:
@@ -218,10 +211,14 @@ def subalgebra_span_dimension(generators, n: int) -> int:
     if not generators:
         return 0
     d = generators[0].rank
-    for degree, span in _span_levels(generators, n, d):
-        if degree == n:
-            return len(span)
-    raise AssertionError("unreachable")
+    by_degree = _by_degree(generators, "generator")
+    spans: dict[int, list[BicommElement]] = {}
+    for k in range(1, n + 1):
+        basis = _product_span(spans, k, d)
+        for gen in by_degree.get(k, ()):
+            basis.add(element_to_row(gen, k))
+        spans[k] = [row_to_element(r, d, k) for r in basis.rows()]
+    return len(spans[n])
 
 
 @dataclass(frozen=True)
@@ -260,16 +257,16 @@ def nonfg_witness(group: FiniteGroup, cutoff_bound: int, search_bound: int) -> N
     inv_bases = {n: invariant_basis(group, n) for n in range(1, search_bound + 1)}
     entries = []
     for cutoff in range(1, cutoff_bound + 1):
-        generators = [
-            element for n in range(1, cutoff + 1) for element in inv_bases[n].elements
-        ]
+        # Up to the cutoff the subalgebra is all of the invariants, and both
+        # bases are the same canonical reduced echelon rows.
+        spans = {k: list(inv_bases[k].elements) for k in range(1, cutoff + 1)}
         gap = CutoffGap(cutoff, None, None, None)
-        for n, span in _span_levels(generators, search_bound, d):
-            span_dim = len(span)
-            inv_dim = inv_bases[n].dimension
-            if span_dim < inv_dim:
-                gap = CutoffGap(cutoff, n, span_dim, inv_dim)
+        for n in range(cutoff + 1, search_bound + 1):
+            basis = _product_span(spans, n, d)
+            if basis.dimension < inv_bases[n].dimension:
+                gap = CutoffGap(cutoff, n, basis.dimension, inv_bases[n].dimension)
                 break
+            spans[n] = [row_to_element(r, d, n) for r in basis.rows()]
         entries.append(gap)
     return NonFgReport(group.order, cutoff_bound, search_bound, tuple(entries))
 

@@ -5,6 +5,8 @@ import pytest
 
 from bicomm import (
     BicommElement,
+    RationalFunction,
+    UniPoly,
     YZPolynomial,
     basis_component,
     dim_component,
@@ -146,6 +148,40 @@ class TestBicommProduct:
         half = Fraction(1, 2)
         assert half * x1 + half * x1 == x1
         assert (x1 - x1).is_zero()
+
+
+def _uni(*coeffs):
+    return UniPoly.from_coeffs(coeffs)
+
+
+# Two values of each exact type that shares `-` and reflected `*`.
+VALUE_PAIRS = {
+    "YZPolynomial": (
+        mono(2, (1, 0), (0, 2), Fraction(3, 2)) + mono(2, (0, 1), (1, 0)),
+        mono(2, (1, 0), (0, 2), -1) + mono(2, (0, 0), (0, 0), 5),
+    ),
+    "BicommElement": (
+        BicommElement.generator(2, 1) + bulk(2, (1, 1), (0, 1), -2),
+        BicommElement.from_linear(2, [Fraction(1, 3), 1]) + bulk(2, (1, 1), (0, 1)),
+    ),
+    "UniPoly": (_uni(1, Fraction(-2, 3), 0, 4), _uni(0, 1, 1)),
+    "RationalFunction": (
+        RationalFunction(_uni(1, 2), _uni(1, -1)),
+        RationalFunction(_uni(0, Fraction(1, 5)), _uni(1, 0, -1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("a,b", VALUE_PAIRS.values(), ids=list(VALUE_PAIRS))
+def test_shared_subtraction_and_reflected_scalars(a, b):
+    assert a - b == a + (-b)
+    assert b - a == -(a - b)
+    assert 3 * a == a * 3 == a + a + a
+    assert Fraction(1, 2) * a == a * Fraction(1, 2)
+    assert Fraction(1, 2) * (a + a) == a
+    for bad in (lambda: a - 1, lambda: 1 - a, lambda: 1.5 * a, lambda: "s" * a):
+        with pytest.raises(TypeError):
+            bad()
 
 
 class TestBases:

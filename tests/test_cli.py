@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bicomm
 from bicomm import RationalFunction, UniPoly
 from bicomm.cli import (
     EXIT_CAP,
@@ -121,6 +124,24 @@ class TestHilbertCommand:
         assert out == ""
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'\xff\xfe{"d":1}',
+            b'{"d": 1, "generators": [[["' + b"7" * 5000 + b'"]]]}',
+            b'{"d": 1, "generators": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        ],
+        ids=["not utf-8", "5000-digit entry", "nested 100000 deep"],
+    )
+    def test_malformed_bytes_are_file_errors(self, capsys, tmp_path, content):
+        path = tmp_path / "malformed.group"
+        path.write_bytes(content)
+        code, out, err = run_main(capsys, "hilbert", "--group", str(path))
+        assert code == EXIT_GROUP_FILE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "7" * 100 not in err
+
 
 class TestOtherCommands:
     def test_invariants_lists_bases(self, capsys, s2_file):
@@ -209,10 +230,13 @@ class TestArgumentHandling:
         assert code == EXIT_USAGE
 
     def test_module_entry_point(self, s2_file):
+        # The child imports the same package as this process, installed or not.
+        source = str(Path(bicomm.__file__).resolve().parents[1])
         result = subprocess.run(
             [sys.executable, "-m", "bicomm", "hilbert", "--group", s2_file, "--order", "4"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=source),
         )
         assert result.returncode == EXIT_OK
         assert "[0, 1, 2, 6, 13]" in result.stdout

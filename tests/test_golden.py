@@ -49,6 +49,7 @@ JOBS = [
     *(("invariants", name, ["--max-degree", "3"]) for name in GROUPS),
     ("nonfg", "S_2", ["--cutoff", "2", "--max-degree", "4"]),
     ("nonfg", "C_4", ["--cutoff", "2", "--max-degree", "4"]),
+    ("nonfg", "C_4", ["--cutoff", "4", "--max-degree", "9"]),
     ("nonfg", "D_6", ["--cutoff", "1", "--max-degree", "3"]),
     ("nonfg", "S_3", ["--cutoff", "1", "--max-degree", "3"]),
     ("nonfg", "S_3P", ["--cutoff", "1", "--max-degree", "3"]),
@@ -60,7 +61,8 @@ JOBS = [
 ]
 
 # (exit code, SHA-256 of stdout) per job id, recorded before the engine's
-# duplicate code paths were merged.
+# duplicate code paths were merged; the C_4 cutoff-4 job's digests were
+# recorded before `nonfg` seeded its spans with the invariant bases.
 DIGESTS = {
     "hilbert S_2 --order 6 plain": [0, "dea39843a75fabbd8cb3968b0d2cf00a89aa0531cfe56591721c0def46d6b514"],
     "hilbert S_2 --order 6 structured": [0, "8d953fd6ae02f69896818cf53d19c71d60e247d70c00085a949b7694335e1cc9"],
@@ -86,6 +88,8 @@ DIGESTS = {
     "nonfg S_2 --cutoff 2 --max-degree 4 structured": [0, "4546e08401ec0b9e0bac7c81ef6b1f3624e2481fc34ff299ae36bef0330751df"],
     "nonfg C_4 --cutoff 2 --max-degree 4 plain": [0, "bba8704c29042a212343f7c6cba619d0e3cb7fce45ce6b4fbf5690cbeb7bb426"],
     "nonfg C_4 --cutoff 2 --max-degree 4 structured": [0, "28690b98c182e2dcc7e241e87241b4603e4729f8ee1dd9a920c3fd2a5abeb8d6"],
+    "nonfg C_4 --cutoff 4 --max-degree 9 plain": [0, "06b0d1f0ac8b03f4868c4832ed0206f6d580e2c7310a5a55babcbe295cc4d577"],
+    "nonfg C_4 --cutoff 4 --max-degree 9 structured": [0, "05660bb6bfbc0b83cd8fce3e93fdd060dab9f658dbaf1b4fc109fef28386d498"],
     "nonfg D_6 --cutoff 1 --max-degree 3 plain": [0, "dcf1d11c456046fe2e0d3fdfb517ac5375d7689077140da766f4dfd61a3f8f1b"],
     "nonfg D_6 --cutoff 1 --max-degree 3 structured": [0, "1459ee04a02bb2cc975db7b4e66f7513474e5cdbd2a997d02932da774e59b09f"],
     "nonfg S_3 --cutoff 1 --max-degree 3 plain": [0, "4542025c3dcd8bd3ad72f7f4e58d37fa8a36e56bb20b26499060256381e91cac"],

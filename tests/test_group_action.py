@@ -98,6 +98,11 @@ class TestClosure:
         for d in range(1, 13):
             assert max_finite_order(d) >= 2**d * math.factorial(d)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_rank_bound_needs_positive_rank(self, d):
+        with pytest.raises(ValueError):
+            max_finite_order(d)
+
     def test_singular_generator_rejected(self):
         with pytest.raises(SingularMatrixError):
             group_closure([RationalMatrix.from_rows([[1, 1], [1, 1]])])

@@ -1,4 +1,5 @@
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,30 @@ class TestNonFgWitness:
         assert report.gap_for_every_cutoff()
         for gap in report.gaps:
             assert gap.gap_degree is not None and gap.gap_degree % 2 == 0
+
+    @pytest.mark.parametrize(
+        "group_name", ["swap_group", "rotation_c4", "signed_permutations_d2"]
+    )
+    def test_gaps_match_subalgebra_scan(self, request, group_name):
+        # The witness seeds its spans with the invariant bases up to the
+        # cutoff; the oracle regenerates the subalgebra from those invariants.
+        group = request.getfixturevalue(group_name)
+        search_bound = 6
+        report = nonfg_witness(group, 3, search_bound)
+        inv_dims = {n: invariant_dimension(group, n) for n in range(1, search_bound + 1)}
+        for cutoff, gap in zip(range(1, 4), report.gaps):
+            generators = [
+                element
+                for k in range(1, cutoff + 1)
+                for element in invariant_basis(group, k).elements
+            ]
+            expected = (cutoff, None, None, None)
+            for n in range(1, search_bound + 1):
+                span_dim = subalgebra_span_dimension(generators, n)
+                if span_dim < inv_dims[n]:
+                    expected = (cutoff, n, span_dim, inv_dims[n])
+                    break
+            assert astuple(gap) == expected
 
     def test_bad_bounds_rejected(self, swap_group):
         with pytest.raises(ValueError):

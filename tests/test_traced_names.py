@@ -1,9 +1,9 @@
 """Every function the benchmark traces by name must exist in the package.
 
 `bench/tracing.py` wraps the functions and methods listed in its `TRACED`
-table by looking them up on `bicomm.<module>`.  The default test run does not
-collect `bench/`, so without this check a refactor that renames or drops one
-of those names would pass here and break only the benchmark.
+table by looking them up on `bicomm.<module>`.  The benchmark's own tests
+catch a missing name only by running a traced job; this check names the
+missing attribute directly, without running any job.
 """
 
 import importlib
