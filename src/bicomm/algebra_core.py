@@ -19,6 +19,11 @@ floating point anywhere.
 
 The algebra is non-unital and graded: degree 1 is spanned by the x_i, and
 degree n >= 2 by the monomials Y^a Z^b with |a| >= 1, |b| >= 1, |a|+|b| = n.
+
+An element is stored as one polynomial of K[Y, Z], its lift: x_i becomes
+z_i and the bulk is kept as it is.  The group acts on the y_j and z_j as on
+the x_j, so the lift turns sums, coordinates and group averages into those
+of polynomials; only the product needs the x_i back, as y_i on the left.
 """
 
 from __future__ import annotations
@@ -245,11 +250,6 @@ class YZPolynomial(ExactArithmetic):
     def __neg__(self) -> "YZPolynomial":
         return YZPolynomial(self.rank, {k: -c for k, c in self.terms.items()})
 
-    def _scaled(self, factor: Fraction) -> "YZPolynomial":
-        if not factor:
-            return YZPolynomial.zero(self.rank)
-        return YZPolynomial(self.rank, {k: c * factor for k, c in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, YZPolynomial):
             self._check_rank(other)
@@ -267,7 +267,9 @@ class YZPolynomial(ExactArithmetic):
                         out.pop(key, None)
             return YZPolynomial(self.rank, out)
         if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
+            if not other:
+                return YZPolynomial.zero(self.rank)
+            return YZPolynomial(self.rank, {k: c * other for k, c in self.terms.items()})
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "YZPolynomial":
@@ -294,25 +296,24 @@ class YZPolynomial(ExactArithmetic):
 
 @dataclass(frozen=True)
 class BicommElement(ExactArithmetic):
-    """An algebra element: a linear combination of the x_i plus a bulk polynomial.
+    """An algebra element, stored as its lift: x_i becomes z_i, the bulk stays.
 
-    The linear part is stored densely (one Fraction per generator), the bulk
-    part sparsely.  Every bulk monomial must contain at least one y and one z
-    factor; that membership condition is checked at construction time.
+    The lift is linear, injective and commutes with the group action, so
+    sums, scalars and group averages are those of the one polynomial.
+    Every term of `lift` is a generator z_i or a bulk monomial with at least
+    one y and one z factor; that condition is checked at construction time.
     """
 
     rank: int
-    linear: tuple[Fraction, ...]
-    bulk: YZPolynomial
+    lift: YZPolynomial
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "linear", tuple(Fraction(c) for c in self.linear))
-        if len(self.linear) != self.rank:
-            raise ValueError("linear part must have one coefficient per generator")
-        if self.bulk.rank != self.rank:
-            raise ValueError("bulk polynomial has mismatched rank")
-        if not self.bulk.is_bulk():
-            raise ValueError("bulk part contains a monomial missing a y or z factor")
+        if self.lift.rank != self.rank:
+            raise ValueError("lift has mismatched rank")
+        for alpha, beta in self.lift.terms:
+            generator = not any(alpha) and sum(beta) == 1
+            if not (generator or any(alpha) and any(beta)):
+                raise ValueError("lift term is neither a z_i nor a bulk monomial")
 
     @classmethod
     def generator(cls, rank: int, index: int) -> "BicommElement":
@@ -323,54 +324,59 @@ class BicommElement(ExactArithmetic):
 
     @classmethod
     def from_linear(cls, rank: int, coeffs) -> "BicommElement":
-        return cls(rank, tuple(Fraction(c) for c in coeffs), YZPolynomial.zero(rank))
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) != rank:
+            raise ValueError("linear part must have one coefficient per generator")
+        return cls(rank, YZPolynomial.linear("z", coeffs))
 
     @classmethod
     def from_bulk(cls, poly: YZPolynomial) -> "BicommElement":
-        return cls(poly.rank, (_ZERO,) * poly.rank, poly)
+        if not poly.is_bulk():
+            raise ValueError("bulk part contains a monomial missing a y or z factor")
+        return cls(poly.rank, poly)
+
+    @property
+    def linear(self) -> tuple[Fraction, ...]:
+        """The coefficients of x_1..x_d (the z_i, first in `monomial_table(d, 1)`)."""
+        generators = monomial_table(self.rank, 1).keys[: self.rank]
+        return tuple(self.lift.terms.get(key, _ZERO) for key in generators)
+
+    @property
+    def bulk(self) -> YZPolynomial:
+        """The terms of degree >= 2."""
+        terms = self.lift.terms
+        return YZPolynomial(self.rank, {k: c for k, c in terms.items() if any(k[0])})
 
     def is_zero(self) -> bool:
-        return not self.bulk and not any(self.linear)
+        return self.lift.is_zero()
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def _check_rank(self, other: "BicommElement") -> None:
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} != {other.rank}")
-
     def __add__(self, other: "BicommElement") -> "BicommElement":
         if not isinstance(other, BicommElement):
             return NotImplemented
-        self._check_rank(other)
-        linear = tuple(a + b for a, b in zip(self.linear, other.linear))
-        return BicommElement(self.rank, linear, self.bulk + other.bulk)
+        return BicommElement(self.rank, self.lift + other.lift)
 
     def __neg__(self) -> "BicommElement":
-        return BicommElement(self.rank, tuple(-c for c in self.linear), -self.bulk)
-
-    def _scaled(self, factor: Fraction) -> "BicommElement":
-        return BicommElement(
-            self.rank,
-            tuple(c * factor for c in self.linear),
-            self.bulk._scaled(factor),
-        )
+        return BicommElement(self.rank, -self.lift)
 
     def __mul__(self, other):
         """The bicommutative product.
 
-        Folding the four table rules into one statement: the left factor
-        contributes its linear part as y variables, the right factor as z
-        variables, and the two resulting polynomials multiply commutatively.
-        The product of nonzero elements therefore always lies in the bulk.
+        Folding the four table rules into one statement: the left factor's
+        generators z_i become y_i, and the two polynomials multiply
+        commutatively.  The product of nonzero elements therefore always
+        lies in the bulk.
         """
         if isinstance(other, BicommElement):
-            self._check_rank(other)
-            left = YZPolynomial.linear("y", self.linear) + self.bulk
-            right = YZPolynomial.linear("z", other.linear) + other.bulk
-            return BicommElement.from_bulk(left * right)
+            left = {
+                (alpha, beta) if any(alpha) else (beta, alpha): coeff
+                for (alpha, beta), coeff in self.lift.terms.items()
+            }
+            return BicommElement(self.rank, YZPolynomial(self.rank, left) * other.lift)
         if isinstance(other, (int, Fraction)):
-            return self._scaled(Fraction(other))
+            return BicommElement(self.rank, self.lift * other)
         return NotImplemented
 
     def homogeneous_degree(self) -> int | None:
@@ -378,20 +384,14 @@ class BicommElement(ExactArithmetic):
 
         The zero element carries no degree and returns None.
         """
-        has_linear = any(self.linear)
-        if has_linear and not self.bulk:
-            return 1
-        if not has_linear and self.bulk:
-            return self.bulk.homogeneous_degree()
-        return None
+        return self.lift.homogeneous_degree()
 
     def __str__(self) -> str:
         parts: list[tuple[Fraction, str]] = []
-        for i, coeff in enumerate(self.linear):
-            if coeff:
-                parts.append((coeff, f"x{i + 1}"))
-        for key in sorted(self.bulk.terms, key=term_sort_key):
-            parts.append((self.bulk.terms[key], _format_monomial(key)))
+        for key in sorted(self.lift.terms, key=term_sort_key):
+            alpha, beta = key
+            symbol = _format_monomial(key) if any(alpha) else f"x{beta.index(1) + 1}"
+            parts.append((self.lift.terms[key], symbol))
         return format_terms(parts)
 
     def __repr__(self) -> str:
@@ -492,5 +492,5 @@ def random_element(rng: Random, d: int) -> BicommElement:
         coeff = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
         if coeff:
             terms[key] = coeff
-    bulk = YZPolynomial(d, terms)
-    return BicommElement(d, linear, bulk)
+    bulk = BicommElement.from_bulk(YZPolynomial(d, terms))
+    return BicommElement.from_linear(d, linear) + bulk

@@ -312,14 +312,23 @@ def _cmd_verify(args) -> tuple[int, list[str], dict]:
     return (EXIT_OK if all_ok else EXIT_MISMATCH), lines, document
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, kind: str):
+    """An argparse type: an integer >= low, described as a `kind` integer."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_nonnegative_int = _int_at_least(0, "nonnegative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hilbert", help="closed-form series and expansions")
     add_group(p)
-    p.add_argument("--order", type=int, default=10, help="expansion order (default: 10)")
+    p.add_argument(
+        "--order", type=_nonnegative_int, default=10, help="expansion order (default: 10)"
+    )
     add_format(p)
     p.set_defaults(func=_cmd_hilbert)
 
@@ -386,7 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the full cross-validation suite")
     p.add_argument("--d", type=int, default=2, help="rank of the catalogue (default: 2)")
-    p.add_argument("--order", type=int, default=10, help="expansion order (default: 10)")
+    p.add_argument(
+        "--order", type=_nonnegative_int, default=10, help="expansion order (default: 10)"
+    )
     add_format(p)
     p.set_defaults(func=_cmd_verify)
 

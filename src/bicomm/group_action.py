@@ -4,7 +4,8 @@ A group element g sends the generator x_j to sum_i g[i][j] x_i, and acts on
 the bulk variables the same way (y_j and z_j transform exactly like x_j), so
 the action is by algebra automorphisms.  Groups are materialized as explicit
 element lists, closed under multiplication by breadth-first search from the
-identity.  The Reynolds operator is the plain group average.
+identity.  The Reynolds operator is the plain group average, taken over the
+polynomial lift of an element (see `algebra_core`), with which it commutes.
 
 This module also owns the on-disk group format: a JSON document with an
 integer field "d" and a field "generators" holding d x d arrays of rationals
@@ -17,6 +18,7 @@ import json
 import math
 import operator
 import re
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -291,18 +293,13 @@ def act_bulk(g: RationalMatrix, poly: YZPolynomial) -> YZPolynomial:
 
 def act(g: RationalMatrix, element: BicommElement) -> BicommElement:
     """The diagonal action on a full algebra element."""
-    if g.size != element.rank:
-        raise ValueError("rank mismatch between matrix and element")
-    return BicommElement(
-        element.rank, act_linear(g, element.linear), act_bulk(g, element.bulk)
-    )
+    linear = YZPolynomial.linear("z", act_linear(g, element.linear))
+    return BicommElement(element.rank, linear + act_bulk(g, element.bulk))
 
 
 def reynolds(group: FiniteGroup, element: BicommElement) -> BicommElement:
     """Group average of the orbit of `element`: the projection onto invariants."""
-    if group.rank != element.rank:
-        raise ValueError("rank mismatch between group and element")
-    return group.average(lambda g: act(g, element))
+    return BicommElement(group.rank, group.average(lambda g: act_bulk(g, element.lift)))
 
 
 # [0-9], not \d: int() would also accept digits of other scripts.
@@ -310,14 +307,18 @@ _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Strict "p/q" or "p" parser; lowest terms not required on input."""
+    """Strict "p/q" or "p" parser; lowest terms not required on input.
+
+    Errors quote the value in a bounded form: it may be arbitrarily long or
+    deeply nested.
+    """
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
-        raise GroupFileError(f"not a rational literal: {text!r}")
+        raise GroupFileError(f"not a rational literal: {reprlib.repr(text)}")
     value = text.strip()
     try:
         return Fraction(value)
     except ZeroDivisionError:
-        raise GroupFileError(f"zero denominator in {text!r}") from None
+        raise GroupFileError(f"zero denominator in {reprlib.repr(text)}") from None
     except ValueError:
         # More digits than int() converts (sys.get_int_max_str_digits); the
         # limit guards against quadratic-time conversion, so it stays.

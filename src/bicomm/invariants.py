@@ -105,21 +105,13 @@ def _row_to_poly(row: SparseRow, d: int, degree: int) -> YZPolynomial:
 
 
 def element_to_row(element: BicommElement, degree: int) -> SparseRow:
-    """Coordinates of a homogeneous element: over the generators in degree 1,
-    over `monomial_table(d, degree)` above (the bulk is one contiguous slice
-    of its columns, so pivots come out in the same order)."""
-    if degree == 1:
-        return {i: c for i, c in enumerate(element.linear) if c}
-    return poly_to_row(element.bulk, degree)
+    """Coordinates of a homogeneous element: those of its lift, so in degree 1
+    the generators x_1..x_d are the columns z_1..z_d, 0..d-1."""
+    return poly_to_row(element.lift, degree)
 
 
 def row_to_element(row: SparseRow, d: int, degree: int) -> BicommElement:
-    if degree == 1:
-        coeffs = [_ZERO] * d
-        for col, value in row.items():
-            coeffs[col] = value
-        return BicommElement.from_linear(d, coeffs)
-    return BicommElement.from_bulk(_row_to_poly(row, d, degree))
+    return BicommElement(d, _row_to_poly(row, d, degree))
 
 
 @dataclass(frozen=True)
@@ -188,7 +180,7 @@ def _by_degree(items, what: str) -> dict[int, list]:
     return by_degree
 
 
-def _product_span(spans: dict[int, list[BicommElement]], n: int, d: int) -> EchelonBasis:
+def _product_span(spans: dict[int, list[BicommElement]], n: int) -> EchelonBasis:
     """The span of every ordered product u * v, u in spans[a], v in spans[n - a].
 
     Given the lower components of a subalgebra, this plus its degree-n
@@ -214,7 +206,7 @@ def subalgebra_span_dimension(generators, n: int) -> int:
     by_degree = _by_degree(generators, "generator")
     spans: dict[int, list[BicommElement]] = {}
     for k in range(1, n + 1):
-        basis = _product_span(spans, k, d)
+        basis = _product_span(spans, k)
         for gen in by_degree.get(k, ()):
             basis.add(element_to_row(gen, k))
         spans[k] = [row_to_element(r, d, k) for r in basis.rows()]
@@ -262,7 +254,7 @@ def nonfg_witness(group: FiniteGroup, cutoff_bound: int, search_bound: int) -> N
         spans = {k: list(inv_bases[k].elements) for k in range(1, cutoff + 1)}
         gap = CutoffGap(cutoff, None, None, None)
         for n in range(cutoff + 1, search_bound + 1):
-            basis = _product_span(spans, n, d)
+            basis = _product_span(spans, n)
             if basis.dimension < inv_bases[n].dimension:
                 gap = CutoffGap(cutoff, n, basis.dimension, inv_bases[n].dimension)
                 break

@@ -142,6 +142,20 @@ class TestBicommProduct:
     def test_membership_invariant_enforced(self):
         with pytest.raises(ValueError):
             BicommElement.from_bulk(mono(2, (1, 0), (0, 0)))  # bare y1
+        with pytest.raises(ValueError):
+            BicommElement.from_bulk(mono(2, (0, 0), (1, 0)))  # bare z1, the lift of x1
+
+    def test_lift_terms_are_generators_or_bulk(self):
+        x1_plus_y1z2 = mono(2, (0, 0), (1, 0)) + mono(2, (1, 0), (0, 1))
+        element = BicommElement(2, x1_plus_y1z2)
+        assert element.linear == (1, 0)
+        assert element.bulk == mono(2, (1, 0), (0, 1))
+        assert str(element) == "x1 + y1*z2"
+        for bad in (mono(2, (1, 0), (0, 0)), mono(2, (0, 0), (2, 0)), mono(2, (0, 0), (0, 0))):
+            with pytest.raises(ValueError):
+                BicommElement(2, bad)
+        with pytest.raises(ValueError):
+            BicommElement(3, x1_plus_y1z2)
 
     def test_scalar_arithmetic(self):
         x1 = BicommElement.generator(2, 1)

@@ -15,6 +15,7 @@ from bicomm.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -142,6 +143,20 @@ class TestHilbertCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "7" * 100 not in err
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["a" * 100_000, "1/" + "0" * 4000, json.loads("[" * 900 + "]" * 900)],
+        ids=["100000-character string", "4000-digit zero denominator", "nested 900 deep"],
+    )
+    def test_bad_entries_are_quoted_in_bounded_form(self, capsys, tmp_path, entry):
+        path = tmp_path / "long.group"
+        path.write_text(json.dumps({"d": 1, "generators": [[[entry]]]}))
+        code, out, err = run_main(capsys, "hilbert", "--group", str(path))
+        assert code == EXIT_GROUP_FILE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 100
+
 
 class TestOtherCommands:
     def test_invariants_lists_bases(self, capsys, s2_file):
@@ -223,6 +238,17 @@ class TestArgumentHandling:
             assert code == EXIT_USAGE
             assert captured.out == ""
             assert "error" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv", [["hilbert", "--group", "unread.group"], ["verify"]], ids=["hilbert", "verify"]
+    )
+    def test_order_must_be_nonnegative(self, capsys, argv):
+        parser = build_parser()
+        assert parser.parse_args(argv + ["--order", "0"]).order == 0
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv + ["--order", "-1"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--order" in capsys.readouterr().err
 
     def test_missing_subcommand_rejected(self, capsys):
         code = main([])

@@ -31,6 +31,15 @@ from bicomm.group_action import GroupFileError, adjacent_transpositions, max_fin
 
 SWAP = permutation_matrix((1, 0))
 ROTATION = RationalMatrix.from_rows([[0, -1], [1, 0]])
+# A non-monomial rational conjugator and its inverse, entries +-1/3 and 2/3.
+P = RationalMatrix.from_rows([[2, 1, 0], [0, 1, 1], [1, 0, 1]])
+P_INV = RationalMatrix.from_rows(
+    [
+        [Fraction(1, 3), Fraction(-1, 3), Fraction(1, 3)],
+        [Fraction(1, 3), Fraction(2, 3), Fraction(-2, 3)],
+        [Fraction(-1, 3), Fraction(1, 3), Fraction(2, 3)],
+    ]
+)
 
 
 def substitution_oracle(g, poly):
@@ -225,6 +234,10 @@ class TestAction:
             act_bulk(SWAP, YZPolynomial.monomial(3, (1, 0, 0), (1, 0, 0)))
         with pytest.raises(ValueError):
             act_linear(SWAP, (Fraction(1),))
+        with pytest.raises(ValueError):
+            act(SWAP, BicommElement.generator(3, 1))
+        with pytest.raises(ValueError):
+            reynolds(group_closure([SWAP]), BicommElement.generator(3, 1))
 
 
 class TestReynolds:
@@ -258,6 +271,17 @@ class TestReynolds:
             element = reynolds(group, random_element(rng, group.rank))
             for g in group.elements:
                 assert act(g, element) == element
+
+    def test_matches_average_of_element_images(self, catalogue):
+        """Reynolds equals the average of the `act` images, kept as the oracle."""
+        assert (P * P_INV).is_identity()
+        s3_p = group_closure([P * g * P_INV for g in adjacent_transpositions(3)])
+        rng = random.Random(37)
+        for _, group in catalogue + [("S_3^P", s3_p)]:
+            for _ in range(4):
+                element = random_element(rng, group.rank)
+                oracle = group.average(lambda g: act(g, element))
+                assert reynolds(group, element) == oracle
 
     def test_linear_invariant_dimension_is_trace_average(self, catalogue):
         from bicomm.invariants import EchelonBasis, element_to_row

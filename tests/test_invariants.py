@@ -23,7 +23,7 @@ from bicomm import (
     subalgebra_span_dimension,
     trivial_group,
 )
-from bicomm.invariants import EchelonBasis, rref
+from bicomm.invariants import EchelonBasis, element_to_row, row_to_element, rref
 
 
 def bulk(d, alpha, beta, coeff=1):
@@ -56,6 +56,13 @@ class TestEchelon:
             for other in reduced:
                 if other is not row:
                     assert min(other) not in row
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_generators_are_the_first_columns(self, d):
+        for i in range(1, d + 1):
+            x = BicommElement.generator(d, i)
+            assert element_to_row(x, 1) == {i - 1: 1}
+            assert row_to_element({i - 1: Fraction(1)}, d, 1) == x
 
     def test_add_reports_dependence(self):
         basis = EchelonBasis()
