@@ -69,6 +69,9 @@ EXIT_CAP = 4
 
 _VERIFY_SEED = 20_240_601
 
+# Largest `hilbert --order`: coefficients grow like 2^n and are all printed.
+MAX_ORDER = 1000
+
 
 def _rational_function_payload(f: RationalFunction) -> dict:
     return {
@@ -178,6 +181,8 @@ def _cmd_invariants(args) -> tuple[int, list[str], dict]:
 
 
 def _cmd_nonfg(args) -> tuple[int, list[str], dict]:
+    if not args.max_degree > args.cutoff:
+        raise ValueError("need search_bound > cutoff_bound >= 1")
     group, lines, payload = _load_group_header(
         args, cutoff=args.cutoff, max_degree=args.max_degree
     )
@@ -312,8 +317,9 @@ def _cmd_verify(args) -> tuple[int, list[str], dict]:
     return (EXIT_OK if all_ok else EXIT_MISMATCH), lines, document
 
 
-def _int_at_least(low: int, kind: str):
-    """An argparse type: an integer >= low, described as a `kind` integer."""
+def _int_at_least(low: int, kind: str, high: int | None = None):
+    """An argparse type: an integer >= low, described as a `kind` integer,
+    and <= high if one is given."""
 
     def parse(text: str) -> int:
         try:
@@ -322,6 +328,8 @@ def _int_at_least(low: int, kind: str):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -360,7 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hilbert", help="closed-form series and expansions")
     add_group(p)
     p.add_argument(
-        "--order", type=_nonnegative_int, default=10, help="expansion order (default: 10)"
+        "--order",
+        type=_int_at_least(0, "nonnegative", MAX_ORDER),
+        default=10,
+        help=f"expansion order, at most {MAX_ORDER} (default: 10)",
     )
     add_format(p)
     p.set_defaults(func=_cmd_hilbert)
@@ -379,10 +390,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nonfg", help="finite-generation dimension gaps")
     add_group(p)
     p.add_argument(
-        "--cutoff", type=int, default=2, help="largest generator-degree cutoff (default: 2)"
+        "--cutoff",
+        type=_positive_int,
+        default=2,
+        help="largest generator-degree cutoff (default: 2)",
     )
     p.add_argument(
-        "--max-degree", type=int, default=8, help="largest degree searched (default: 8)"
+        "--max-degree",
+        type=_positive_int,
+        default=8,
+        help="largest degree searched, above the cutoff (default: 8)",
     )
     add_format(p)
     p.set_defaults(func=_cmd_nonfg)

@@ -235,31 +235,31 @@ class NonFgReport:
 
 
 def nonfg_witness(group: FiniteGroup, cutoff_bound: int, search_bound: int) -> NonFgReport:
-    """Empirical finite-generation gaps, one search per cutoff.
+    """Empirical finite-generation gaps, one per cutoff c <= cutoff_bound.
 
-    For each cutoff c <= cutoff_bound, takes every invariant of degree <= c
-    as a generator set and searches degrees up to search_bound for the first
-    one where the generated subalgebra misses part of the invariants.  This
-    is a finite consistency check, not a proof: it reports gaps at finitely
-    many degrees only.
+    The gap of c is the first degree n <= search_bound where the subalgebra
+    S_c generated by the invariants of degree <= c misses part of Inv(n).
+    Below its gap S_c is all invariants, so its degree-n component for n > c
+    is P(n), the span of products of lower invariants, for every c.  One
+    comparison of dim P(n) with dim Inv(n) per degree serves all cutoffs,
+    and bases are built only up to the last degree the report reads.  The
+    oracle is `subalgebra_span_dimension`.  A finite check, not a proof.
     """
     if not (search_bound > cutoff_bound >= 1):
         raise ValueError("need search_bound > cutoff_bound >= 1")
-    d = group.rank
-    inv_bases = {n: invariant_basis(group, n) for n in range(1, search_bound + 1)}
-    entries = []
-    for cutoff in range(1, cutoff_bound + 1):
-        # Up to the cutoff the subalgebra is all of the invariants, and both
-        # bases are the same canonical reduced echelon rows.
-        spans = {k: list(inv_bases[k].elements) for k in range(1, cutoff + 1)}
-        gap = CutoffGap(cutoff, None, None, None)
-        for n in range(cutoff + 1, search_bound + 1):
-            basis = _product_span(spans, n)
-            if basis.dimension < inv_bases[n].dimension:
-                gap = CutoffGap(cutoff, n, basis.dimension, inv_bases[n].dimension)
-                break
-            spans[n] = [row_to_element(r, d, n) for r in basis.rows()]
-        entries.append(gap)
+    spans = {1: list(invariant_basis(group, 1).elements)}
+    entries: list[CutoffGap] = []
+    for n in range(2, search_bound + 1):
+        if len(entries) == cutoff_bound:
+            break
+        products = _product_span(spans, n).dimension
+        spans[n] = list(invariant_basis(group, n).elements)
+        if products < len(spans[n]):
+            # The gap of every cutoff below n that has none yet.
+            for cutoff in range(len(entries) + 1, min(n, cutoff_bound + 1)):
+                entries.append(CutoffGap(cutoff, n, products, len(spans[n])))
+    for cutoff in range(len(entries) + 1, cutoff_bound + 1):
+        entries.append(CutoffGap(cutoff, None, None, None))
     return NonFgReport(group.order, cutoff_bound, search_bound, tuple(entries))
 
 

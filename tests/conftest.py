@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from bicomm import (
@@ -8,6 +10,7 @@ from bicomm import (
     symmetric_group,
     trivial_group,
 )
+from bicomm.group_action import adjacent_transpositions
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +41,27 @@ def signed_permutations_d2():
 @pytest.fixture(scope="session")
 def s3_group():
     return symmetric_group(3)
+
+
+@pytest.fixture(scope="session")
+def dihedral_d6():
+    """D_6 of order 12: a rotation of order 6 and a swap, not monomial."""
+    return group_closure(
+        [RationalMatrix.from_rows([[1, -1], [1, 0]]), permutation_matrix((1, 0))]
+    )
+
+
+@pytest.fixture(scope="session")
+def s3_conjugated():
+    """S_3 conjugated by a fixed rational P; the generators have entries
+    +-1/3 and 2/3 (the same group as the golden tests' S_3^P)."""
+    p = RationalMatrix.from_rows([[2, 1, 0], [0, 1, 1], [1, 0, 1]])
+    third = Fraction(1, 3)
+    p_inv = RationalMatrix.from_rows(
+        [[third, -third, third], [third, 2 * third, -2 * third], [-third, third, 2 * third]]
+    )
+    assert (p * p_inv).is_identity()
+    return group_closure([p * g * p_inv for g in adjacent_transpositions(3)])
 
 
 @pytest.fixture(scope="session")

@@ -15,6 +15,7 @@ from bicomm.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_ORDER,
     build_parser,
     main,
 )
@@ -31,6 +32,14 @@ def s2_file(tmp_path):
 def unipotent_file(tmp_path):
     path = tmp_path / "unipotent.group"
     path.write_text(json.dumps({"d": 2, "generators": [[["1", "1"], ["0", "1"]]]}))
+    return str(path)
+
+
+@pytest.fixture
+def scaling_file(tmp_path):
+    """diag(2, 1): an infinite group, so loading it exits 4."""
+    path = tmp_path / "scaling.group"
+    path.write_text(json.dumps({"d": 2, "generators": [[["2", "0"], ["0", "1"]]]}))
     return str(path)
 
 
@@ -82,10 +91,8 @@ class TestHilbertCommand:
         assert code == EXIT_CAP
         assert "cap" in err
 
-    def test_infinite_group_exceeds_rank_bound(self, capsys, tmp_path):
-        path = tmp_path / "scaling.group"
-        path.write_text(json.dumps({"d": 2, "generators": [[["2", "0"], ["0", "1"]]]}))
-        code, out, err = run_main(capsys, "hilbert", "--group", str(path))
+    def test_infinite_group_exceeds_rank_bound(self, capsys, scaling_file):
+        code, out, err = run_main(capsys, "hilbert", "--group", scaling_file)
         assert code == EXIT_CAP
         assert out == ""
         assert "cap of 12 elements" in err
@@ -249,6 +256,27 @@ class TestArgumentHandling:
             parser.parse_args(argv + ["--order", "-1"])
         assert exc.value.code == EXIT_USAGE
         assert "--order" in capsys.readouterr().err
+
+    def test_hilbert_order_is_bounded(self, capsys, tmp_path):
+        argv = ["hilbert", "--group", "unread.group", "--order", str(MAX_ORDER)]
+        assert build_parser().parse_args(argv).order == MAX_ORDER
+        # The file is missing, so only an argument check can give exit 2.
+        missing = str(tmp_path / "missing.group")
+        code, out, err = run_main(capsys, "hilbert", "--group", missing, "--order", "20000")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--order" in err
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [["--cutoff", "0"], ["--cutoff", "3", "--max-degree", "3"]],
+        ids=["cutoff 0", "max-degree at cutoff"],
+    )
+    def test_nonfg_bounds_checked_before_the_group_loads(self, capsys, scaling_file, bounds):
+        code, out, err = run_main(capsys, "nonfg", "--group", scaling_file, *bounds)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "error" in err
 
     def test_missing_subcommand_rejected(self, capsys):
         code = main([])

@@ -42,6 +42,7 @@ GROUPS = {
     "S_3": _S_3,
     "D_6": [[[1, -1], [1, 0]], [[0, 1], [1, 0]]],
     "S_3P": [_mul(_mul(_P, g), _P_INV) for g in _S_3],
+    "trivial": [],  # of rank 2
 }
 
 JOBS = [
@@ -53,6 +54,7 @@ JOBS = [
     ("nonfg", "D_6", ["--cutoff", "1", "--max-degree", "3"]),
     ("nonfg", "S_3", ["--cutoff", "1", "--max-degree", "3"]),
     ("nonfg", "S_3P", ["--cutoff", "1", "--max-degree", "3"]),
+    ("nonfg", "trivial", ["--cutoff", "1", "--max-degree", "5"]),
     ("symmetric", None, ["--d", "2", "--max-degree", "5"]),
     ("symmetric", None, ["--d", "3", "--max-degree", "4"]),
     ("verify", None, ["--d", "1", "--order", "4"]),
@@ -62,7 +64,9 @@ JOBS = [
 
 # (exit code, SHA-256 of stdout) per job id, recorded before the engine's
 # duplicate code paths were merged; the C_4 cutoff-4 job's digests were
-# recorded before `nonfg` seeded its spans with the invariant bases.
+# recorded before `nonfg` seeded its spans with the invariant bases, and the
+# trivial group's (its nonfg job finds no gap, so the scan runs to
+# --max-degree) before `nonfg` built each basis and product span on first use.
 DIGESTS = {
     "hilbert S_2 --order 6 plain": [0, "dea39843a75fabbd8cb3968b0d2cf00a89aa0531cfe56591721c0def46d6b514"],
     "hilbert S_2 --order 6 structured": [0, "8d953fd6ae02f69896818cf53d19c71d60e247d70c00085a949b7694335e1cc9"],
@@ -74,6 +78,8 @@ DIGESTS = {
     "hilbert D_6 --order 6 structured": [0, "fe3f0d22db0333a598c60918df1c07f12915896c738d3cf658a1b086f6addf25"],
     "hilbert S_3P --order 6 plain": [0, "b9a840d35ae8e6f49bcf7e93451e4bc30db825968ce8dcb951ea687a67475d0d"],
     "hilbert S_3P --order 6 structured": [0, "1230dc040d04d8c0d47758c7017d8e6138f3a0c6839ff5d6910a8f5764681d9d"],
+    "hilbert trivial --order 6 plain": [0, "52cdb594967919b2ab52a9ecde6455b6e214f8e933c9b5bcec036d8853d31b23"],
+    "hilbert trivial --order 6 structured": [0, "06ba6948841e1f52d66a93f288e36caed01451e213d82260f7c575545ee0b3cc"],
     "invariants S_2 --max-degree 3 plain": [0, "f5ec38c5e22c2b632f69fce67cf2c2d70a336b8a0dd73ea0ee32646e0e3be347"],
     "invariants S_2 --max-degree 3 structured": [0, "77eb68478b1d5fb60f9c069a69dbe83f32f98785e0c17ba00332465e6a9f5cb2"],
     "invariants C_4 --max-degree 3 plain": [0, "e56d7320700f335a99454df60a0c3f9440a93508b3b32a6c4f777f169636df6e"],
@@ -84,6 +90,8 @@ DIGESTS = {
     "invariants D_6 --max-degree 3 structured": [0, "f901ca77e3dc22abe98577b4679620ded775fa45ca2e63333772e8fa9a04ad36"],
     "invariants S_3P --max-degree 3 plain": [0, "e51af2f320bd626f1d04961369da72265310f261c323b482b20592a7cb43d7b9"],
     "invariants S_3P --max-degree 3 structured": [0, "33ccdb9617a6b89b39b7c02b060dbb57e9ecd7de27e14b118bfd56e9345723e2"],
+    "invariants trivial --max-degree 3 plain": [0, "08cd09f40a76b8dab5f017acbd1491b9cc5449870fbec978b4a50c7de178f90e"],
+    "invariants trivial --max-degree 3 structured": [0, "afad42bb34027d8bae80d9dcdc68ae38705b82ecc7131dfb52e19c7937e136ab"],
     "nonfg S_2 --cutoff 2 --max-degree 4 plain": [0, "1f0517a8067fe6c8ceb148c5e3590be770d9d89bf06274c047334c8abcd48eee"],
     "nonfg S_2 --cutoff 2 --max-degree 4 structured": [0, "4546e08401ec0b9e0bac7c81ef6b1f3624e2481fc34ff299ae36bef0330751df"],
     "nonfg C_4 --cutoff 2 --max-degree 4 plain": [0, "bba8704c29042a212343f7c6cba619d0e3cb7fce45ce6b4fbf5690cbeb7bb426"],
@@ -96,6 +104,8 @@ DIGESTS = {
     "nonfg S_3 --cutoff 1 --max-degree 3 structured": [0, "8f491888c470d5744155ec6662cede888571b9f0c82df879b1b1f077e4dc5fb3"],
     "nonfg S_3P --cutoff 1 --max-degree 3 plain": [0, "4542025c3dcd8bd3ad72f7f4e58d37fa8a36e56bb20b26499060256381e91cac"],
     "nonfg S_3P --cutoff 1 --max-degree 3 structured": [0, "8f491888c470d5744155ec6662cede888571b9f0c82df879b1b1f077e4dc5fb3"],
+    "nonfg trivial --cutoff 1 --max-degree 5 plain": [0, "24cc810447ee7b643213744d56757edffa01d64c74ec1affda731563dd8bfd71"],
+    "nonfg trivial --cutoff 1 --max-degree 5 structured": [0, "e5a6575aade9e64b5e6ac8b96ecb909fd336c3c2864d1a776c879940f3f5b0ab"],
     "symmetric - --d 2 --max-degree 5 plain": [0, "fcff1990d1527d72bb6904a6cf3ef20c6ef2c7cbb704761724bf4f9954eacfec"],
     "symmetric - --d 2 --max-degree 5 structured": [0, "ecba29275b1cd90543082d85cc9ee4e38c67641e1dc4d22ea3b6d0d6d8151b74"],
     "symmetric - --d 3 --max-degree 4 plain": [0, "3460872545994adf24118ce35bd18dd303034269bb6f90a33b902df5190df46d"],
@@ -123,7 +133,7 @@ def run_job(command, group, extra, fmt, directory):
         path = str(directory / f"{group}.group")
         rows = [[[str(Fraction(v)) for v in row] for row in g] for g in GROUPS[group]]
         with open(path, "w") as handle:
-            json.dump({"d": len(rows[0]), "generators": rows}, handle)
+            json.dump({"d": len(rows[0]) if rows else 2, "generators": rows}, handle)
         argv += ["--group", path]
     argv += [*extra, "--format", fmt]
     out = io.StringIO()

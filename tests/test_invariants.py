@@ -157,6 +157,17 @@ class TestSubalgebraSpans:
             subalgebra_span_dimension([mixed], 2)
 
 
+# Groups for the subalgebra scan, each with a degree bound that keeps the
+# oracle cheap; D_6 and S_3^P are not monomial, S_3^P has entries 1/3, 2/3.
+SCAN_BOUNDS = [
+    ("swap_group", 6),
+    ("rotation_c4", 6),
+    ("signed_permutations_d2", 6),
+    ("dihedral_d6", 6),
+    ("s3_conjugated", 4),
+]
+
+
 class TestNonFgWitness:
     def test_swap_gap_at_degree_two(self, swap_group):
         report = nonfg_witness(swap_group, 1, 4)
@@ -177,13 +188,13 @@ class TestNonFgWitness:
             assert gap.gap_degree is not None and gap.gap_degree % 2 == 0
 
     @pytest.mark.parametrize(
-        "group_name", ["swap_group", "rotation_c4", "signed_permutations_d2"]
+        "group_name,search_bound", SCAN_BOUNDS, ids=[name for name, _ in SCAN_BOUNDS]
     )
-    def test_gaps_match_subalgebra_scan(self, request, group_name):
-        # The witness seeds its spans with the invariant bases up to the
-        # cutoff; the oracle regenerates the subalgebra from those invariants.
+    def test_gaps_match_subalgebra_scan(self, request, group_name, search_bound):
+        # The witness compares products of lower invariants with the
+        # invariants once per degree, for all cutoffs at once; the oracle
+        # regenerates each cutoff's subalgebra from its invariants.
         group = request.getfixturevalue(group_name)
-        search_bound = 6
         report = nonfg_witness(group, 3, search_bound)
         inv_dims = {n: invariant_dimension(group, n) for n in range(1, search_bound + 1)}
         for cutoff, gap in zip(range(1, 4), report.gaps):
@@ -199,6 +210,19 @@ class TestNonFgWitness:
                     expected = (cutoff, n, span_dim, inv_dims[n])
                     break
             assert astuple(gap) == expected
+
+    def test_builds_each_basis_once_up_to_the_last_gap(self, rotation_c4, monkeypatch):
+        requested = []
+
+        def recording(group, n):
+            requested.append(n)
+            return invariant_basis(group, n)
+
+        monkeypatch.setattr("bicomm.invariants.invariant_basis", recording)
+        report = nonfg_witness(rotation_c4, 2, 9)
+        assert report.gaps[-1].gap_degree == 4
+        assert sorted(requested) == sorted(set(requested))
+        assert max(requested) <= 4
 
     def test_bad_bounds_rejected(self, swap_group):
         with pytest.raises(ValueError):
