@@ -224,9 +224,6 @@ class YZPolynomial(ExactArithmetic):
                 terms[(tuple(alpha), tuple(beta))] = coeff
         return cls(rank, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -347,11 +344,8 @@ class BicommElement(ExactArithmetic):
         terms = self.lift.terms
         return YZPolynomial(self.rank, {k: c for k, c in terms.items() if any(k[0])})
 
-    def is_zero(self) -> bool:
-        return self.lift.is_zero()
-
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return bool(self.lift)
 
     def __add__(self, other: "BicommElement") -> "BicommElement":
         if not isinstance(other, BicommElement):
@@ -418,13 +412,6 @@ def monomial_table(d: int, n: int) -> MonomialTable:
         for beta in compositions(n - a, d)
     )
     return MonomialTable(keys, {key: i for i, key in enumerate(keys)})
-
-
-def yz_monomial_keys(d: int, n: int) -> list[TermKey]:
-    """All degree-n monomial keys of the full polynomial ring K[Y_d, Z_d]."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return list(monomial_table(d, n).keys)
 
 
 def bulk_monomial_keys(d: int, n: int) -> list[TermKey]:

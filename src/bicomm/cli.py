@@ -121,7 +121,7 @@ def catalogued_groups(d: int) -> list[tuple[str, FiniteGroup]]:
     if d == 2:
         swap = permutation_matrix((1, 0))
         groups.append(("symmetric S_2", group_closure([swap])))
-        rotation = RationalMatrix.from_rows([[0, -1], [1, 0]])
+        rotation = RationalMatrix([[0, -1], [1, 0]])
         groups.append(("cyclic C_4", group_closure([rotation])))
         groups.append(
             ("signed permutations", group_closure([swap, diagonal_matrix([-1, 1])]))

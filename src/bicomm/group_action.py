@@ -66,10 +66,6 @@ class RationalMatrix:
     def identity(cls, d: int) -> "RationalMatrix":
         return diagonal_matrix([_ONE] * d)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(v) for v in row) for row in rows))
-
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if not isinstance(other, RationalMatrix):
             return NotImplemented

@@ -42,10 +42,6 @@ class UniPoly(ExactArithmetic):
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @classmethod
-    def from_coeffs(cls, seq) -> "UniPoly":
-        return cls(tuple(Fraction(c) for c in seq))
-
-    @classmethod
     def zero(cls) -> "UniPoly":
         return cls(())
 
@@ -53,20 +49,9 @@ class UniPoly(ExactArithmetic):
     def one(cls) -> "UniPoly":
         return cls((_ONE,))
 
-    @classmethod
-    def t(cls) -> "UniPoly":
-        return cls((_ZERO, _ONE))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else _ZERO
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -106,7 +91,7 @@ class UniPoly(ExactArithmetic):
     def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if other.is_zero():
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         dn = other.degree
@@ -129,7 +114,7 @@ class UniPoly(ExactArithmetic):
         return divmod(self, other)[1]
 
     def monic(self) -> "UniPoly":
-        if self.is_zero():
+        if not self:
             return self
         return self * (1 / self.coeffs[-1])
 
@@ -163,15 +148,15 @@ class RationalFunction(ExactArithmetic):
 
     def __post_init__(self) -> None:
         num, den = self.numerator, self.denominator
-        if den.is_zero():
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
+        if not num:
             num, den = UniPoly.zero(), UniPoly.one()
         else:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num, den = num // g, den // g
-        c = den.constant_term
+        c = den.coefficient(0)
         if not c:
             raise ValueError("denominator vanishes at t = 0; not a Taylor series")
         if c != 1:
@@ -230,10 +215,6 @@ class TruncatedSeries:
         object.__setattr__(
             self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
         )
-
-    @property
-    def truncation_order(self) -> int:
-        return len(self.coefficients) - 1
 
     def coefficient(self, n: int) -> Fraction:
         return self.coefficients[n]

@@ -58,14 +58,13 @@ class EchelonBasis:
     def reduce(self, row: SparseRow) -> SparseRow:
         """Fully reduce a copy of `row` against the current basis.
 
-        Pivot rows contain no other pivot columns, so eliminating the pivot
-        columns present in the row, in one ascending sweep, cannot
-        reintroduce any.
+        Pivot rows are zero in every other pivot column, so eliminating one
+        pivot column leaves the row's other pivot entries as they were: one
+        sweep over the pivot columns present in the row, in any order.
         """
         row = dict(row)
-        for col in sorted(c for c in row if c in self._pivots):
-            if col in row:
-                _axpy(row, -row[col], self._pivots[col])
+        for col in [c for c in row if c in self._pivots]:
+            _axpy(row, -row[col], self._pivots[col])
         return row
 
     def add(self, row: SparseRow) -> bool:

@@ -30,7 +30,7 @@ def negation_d2():
 
 @pytest.fixture(scope="session")
 def rotation_c4():
-    return group_closure([RationalMatrix.from_rows([[0, -1], [1, 0]])])
+    return group_closure([RationalMatrix([[0, -1], [1, 0]])])
 
 
 @pytest.fixture(scope="session")
@@ -47,7 +47,7 @@ def s3_group():
 def dihedral_d6():
     """D_6 of order 12: a rotation of order 6 and a swap, not monomial."""
     return group_closure(
-        [RationalMatrix.from_rows([[1, -1], [1, 0]]), permutation_matrix((1, 0))]
+        [RationalMatrix([[1, -1], [1, 0]]), permutation_matrix((1, 0))]
     )
 
 
@@ -55,9 +55,9 @@ def dihedral_d6():
 def s3_conjugated():
     """S_3 conjugated by a fixed rational P; the generators have entries
     +-1/3 and 2/3 (the same group as the golden tests' S_3^P)."""
-    p = RationalMatrix.from_rows([[2, 1, 0], [0, 1, 1], [1, 0, 1]])
+    p = RationalMatrix([[2, 1, 0], [0, 1, 1], [1, 0, 1]])
     third = Fraction(1, 3)
-    p_inv = RationalMatrix.from_rows(
+    p_inv = RationalMatrix(
         [[third, -third, third], [third, 2 * third, -2 * third], [-third, third, 2 * third]]
     )
     assert (p * p_inv).is_identity()

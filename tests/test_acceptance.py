@@ -141,7 +141,7 @@ def test_criterion_07_integral_dependence_certificates(catalogue):
             certificate = integral_dependence_polynomial(group, variable)
             assert certificate.degree == group.order
             assert certificate.coefficients[-1] == YZPolynomial.constant(group.rank, 1)
-            assert certificate.substitute_self().is_zero(), (name, variable)
+            assert not certificate.substitute_self(), (name, variable)
             for coefficient in certificate.coefficients:
                 for g in group.elements:
                     assert act_bulk(g, coefficient) == coefficient, (name, variable)
@@ -176,9 +176,9 @@ def test_criterion_09_module_saturation(catalogue):
 def test_criterion_10_trace_analogue_regressions(catalogue):
     groups = dict(catalogue)
     negation = dicks_formanek(groups["negation d=1"])
-    assert negation == RationalFunction(UniPoly.one(), UniPoly.from_coeffs([1, 0, -1]))
+    assert negation == RationalFunction(UniPoly.one(), UniPoly([1, 0, -1]))
     swapped = dicks_formanek(groups["S_2 d=2"])
     assert swapped == RationalFunction(
-        UniPoly.from_coeffs([1, -1]), UniPoly.from_coeffs([1, -2])
+        UniPoly([1, -1]), UniPoly([1, -2])
     )
     report(10, "trace-analogue closed forms match their canonical fractions")

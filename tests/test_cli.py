@@ -51,8 +51,8 @@ def run_main(capsys, *argv):
 
 def parse_rational_function(payload):
     return RationalFunction(
-        UniPoly.from_coeffs([Fraction(c) for c in payload["numerator"]]),
-        UniPoly.from_coeffs([Fraction(c) for c in payload["denominator"]]),
+        UniPoly([Fraction(c) for c in payload["numerator"]]),
+        UniPoly([Fraction(c) for c in payload["denominator"]]),
     )
 
 

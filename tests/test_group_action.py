@@ -30,7 +30,7 @@ from bicomm import (
 from bicomm.group_action import GroupFileError, adjacent_transpositions, max_finite_order
 
 SWAP = permutation_matrix((1, 0))
-ROTATION = RationalMatrix.from_rows([[0, -1], [1, 0]])
+ROTATION = RationalMatrix([[0, -1], [1, 0]])
 
 
 def substitution_oracle(g, poly):
@@ -71,7 +71,7 @@ class TestClosure:
         assert group_closure([ROTATION]).order == 4
 
     def test_unipotent_exceeds_cap(self):
-        shear = RationalMatrix.from_rows([[1, 1], [0, 1]])
+        shear = RationalMatrix([[1, 1], [0, 1]])
         with pytest.raises(CapExceededError):
             group_closure([shear], cap=1000)
 
@@ -86,10 +86,10 @@ class TestClosure:
     def test_infinite_group_stops_at_rank_bound(self, generators):
         # The default cap is far above 12, the largest finite order at d = 2.
         with pytest.raises(CapExceededError, match=r"cap of 12 elements.*GL_2\(Q\)"):
-            group_closure([RationalMatrix.from_rows(g) for g in generators])
+            group_closure([RationalMatrix(g) for g in generators])
 
     def test_groups_at_the_rank_bound_close(self):
-        hexagonal = RationalMatrix.from_rows([[1, -1], [1, 0]])
+        hexagonal = RationalMatrix([[1, -1], [1, 0]])
         assert group_closure([hexagonal, SWAP]).order == max_finite_order(2) == 12
         signed = adjacent_transpositions(3) + [diagonal_matrix([-1, 1, 1])]
         assert group_closure(signed).order == max_finite_order(3) == 48
@@ -105,7 +105,7 @@ class TestClosure:
 
     def test_singular_generator_rejected(self):
         with pytest.raises(SingularMatrixError):
-            group_closure([RationalMatrix.from_rows([[1, 1], [1, 1]])])
+            group_closure([RationalMatrix([[1, 1], [1, 1]])])
 
     def test_trivial_group(self):
         group = trivial_group(3)
@@ -162,11 +162,11 @@ class TestDeterminant:
                     [Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(d)]
                     for _ in range(d)
                 ]
-                assert RationalMatrix.from_rows(rows).det() == self.leibniz(rows)
+                assert RationalMatrix(rows).det() == self.leibniz(rows)
 
     def test_singular_and_signed_cases(self):
-        assert RationalMatrix.from_rows([[1, 2], [2, 4]]).det() == 0
-        assert RationalMatrix.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
+        assert RationalMatrix([[1, 2], [2, 4]]).det() == 0
+        assert RationalMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
         assert diagonal_matrix([Fraction(1, 2), 3, -1]).det() == Fraction(-3, 2)
 
 
@@ -192,21 +192,21 @@ class TestAction:
         assert act_bulk(diagonal_matrix([-1, -1]), y1z1) == y1z1
 
     def test_shear_matches_substitution_oracle(self):
-        shear = RationalMatrix.from_rows([[1, 1], [0, 1]])
+        shear = RationalMatrix([[1, 1], [0, 1]])
         rng = random.Random(3)
         for _ in range(20):
             poly = random_element(rng, 2).bulk
             assert act_bulk(shear, poly) == substitution_oracle(shear, poly)
 
     def test_general_matrix_matches_substitution_oracle(self):
-        g = RationalMatrix.from_rows([[Fraction(1, 2), 1], [-1, Fraction(2, 3)]])
+        g = RationalMatrix([[Fraction(1, 2), 1], [-1, Fraction(2, 3)]])
         rng = random.Random(5)
         for _ in range(10):
             poly = random_element(rng, 2).bulk
             assert act_bulk(g, poly) == substitution_oracle(g, poly)
 
     def test_action_preserves_bidegree(self):
-        g = RationalMatrix.from_rows([[1, 2], [3, 4]])
+        g = RationalMatrix([[1, 2], [3, 4]])
         poly = YZPolynomial.monomial(2, (2, 1), (0, 3))
         image = act_bulk(g, poly)
         assert {(sum(a), sum(b)) for a, b in image.terms} == {(3, 3)}
@@ -246,7 +246,7 @@ class TestReynolds:
 
     def test_odd_degree_kills_negation_orbit(self, negation_d1):
         element = BicommElement.from_bulk(YZPolynomial.monomial(1, (1,), (2,)))
-        assert reynolds(negation_d1, element).is_zero()
+        assert not reynolds(negation_d1, element)
 
     def test_idempotence(self, catalogue):
         rng = random.Random(29)

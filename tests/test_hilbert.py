@@ -21,11 +21,11 @@ from bicomm import (
 from bicomm.hilbert import poly_gcd
 
 ONE = UniPoly.one()
-T = UniPoly.t()
+T = UniPoly((0, 1))
 
 
 def rf(num, den=(1,)):
-    return RationalFunction(UniPoly.from_coeffs(num), UniPoly.from_coeffs(den))
+    return RationalFunction(UniPoly(num), UniPoly(den))
 
 
 def cycle_lengths(perm):
@@ -46,26 +46,26 @@ def cycle_lengths(perm):
 
 class TestUniPoly:
     def test_normalization_strips_trailing_zeros(self):
-        assert UniPoly.from_coeffs([1, 2, 0, 0]).coeffs == (Fraction(1), Fraction(2))
-        assert UniPoly.from_coeffs([0, 0]).is_zero()
+        assert UniPoly([1, 2, 0, 0]).coeffs == (Fraction(1), Fraction(2))
+        assert not UniPoly([0, 0])
 
     def test_division_inverts_multiplication(self):
-        a = UniPoly.from_coeffs([1, -2, 3])
-        b = UniPoly.from_coeffs([2, 5])
+        a = UniPoly([1, -2, 3])
+        b = UniPoly([2, 5])
         q, r = divmod(a * b, b)
-        assert q == a and r.is_zero()
+        assert q == a and not r
 
     def test_divmod_with_remainder(self):
-        a = UniPoly.from_coeffs([1, 0, 1])
-        b = UniPoly.from_coeffs([1, 1])
+        a = UniPoly([1, 0, 1])
+        b = UniPoly([1, 1])
         q, r = divmod(a, b)
         assert b * q + r == a
         assert r.degree < b.degree
 
     def test_gcd_extracts_common_factor(self):
-        common = UniPoly.from_coeffs([1, 1])
-        a = common * UniPoly.from_coeffs([1, -1])
-        b = common * UniPoly.from_coeffs([2, 1])
+        common = UniPoly([1, 1])
+        a = common * UniPoly([1, -1])
+        b = common * UniPoly([2, 1])
         assert poly_gcd(a, b) == common
         assert poly_gcd(a, UniPoly.zero()) == a.monic()
 
@@ -76,9 +76,9 @@ class TestRationalFunction:
         assert f == rf([0, 1])
         assert f.denominator == ONE
 
-    def test_denominator_constant_term_normalized(self):
-        f = RationalFunction(UniPoly.from_coeffs([2]), UniPoly.from_coeffs([2, 2]))
-        assert f.denominator.constant_term == 1
+    def test_denominator_constant_coefficient_normalized(self):
+        f = RationalFunction(UniPoly([2]), UniPoly([2, 2]))
+        assert f.denominator.coefficient(0) == 1
         assert f == rf([1], [1, 1])
 
     def test_zero_at_origin_denominator_rejected(self):
@@ -102,19 +102,19 @@ class TestRationalFunction:
 
 class TestCharDet:
     def test_identity(self):
-        assert char_det(RationalMatrix.identity(2)) == UniPoly.from_coeffs([1, -2, 1])
+        assert char_det(RationalMatrix.identity(2)) == UniPoly([1, -2, 1])
 
     def test_swap(self):
-        assert char_det(permutation_matrix((1, 0))) == UniPoly.from_coeffs([1, 0, -1])
+        assert char_det(permutation_matrix((1, 0))) == UniPoly([1, 0, -1])
 
     def test_rotation(self):
-        rotation = RationalMatrix.from_rows([[0, -1], [1, 0]])
-        assert char_det(rotation) == UniPoly.from_coeffs([1, 0, 1])
+        rotation = RationalMatrix([[0, -1], [1, 0]])
+        assert char_det(rotation) == UniPoly([1, 0, 1])
 
-    def test_constant_term_is_one(self, catalogue):
+    def test_constant_coefficient_is_one(self, catalogue):
         for _, group in catalogue:
             for g in group.elements:
-                assert char_det(g).constant_term == 1
+                assert char_det(g).coefficient(0) == 1
 
     def test_permutation_matrices_factor_over_cycles(self):
         for d in range(1, 5):
@@ -122,7 +122,7 @@ class TestCharDet:
                 expected = ONE
                 for length in cycle_lengths(perm):
                     factor = [1] + [0] * (length - 1) + [-1]
-                    expected = expected * UniPoly.from_coeffs(factor)
+                    expected = expected * UniPoly(factor)
                 assert char_det(permutation_matrix(perm)) == expected
 
 
@@ -132,7 +132,7 @@ class TestClosedForms:
 
     def test_molien_classic_swap(self, swap_group):
         expected = RationalFunction(
-            ONE, UniPoly.from_coeffs([1, -1]) * UniPoly.from_coeffs([1, 0, -1])
+            ONE, UniPoly([1, -1]) * UniPoly([1, 0, -1])
         )
         assert molien_classic(swap_group) == expected
 
@@ -168,8 +168,8 @@ class TestClosedForms:
             assert molien_bicomm(trivial_group(d)) == hilbert_free_bicomm(d)
 
     def test_molien_bicomm_negation_closed_form(self, negation_d1):
-        numerator = UniPoly.from_coeffs([0, 0, 1, 0, 1])  # t^2 (1 + t^2)
-        denominator = UniPoly.from_coeffs([1, 0, -1]) ** 2  # (1 - t^2)^2
+        numerator = UniPoly([0, 0, 1, 0, 1])  # t^2 (1 + t^2)
+        denominator = UniPoly([1, 0, -1]) ** 2  # (1 - t^2)^2
         assert molien_bicomm(negation_d1) == RationalFunction(numerator, denominator)
         series = expand(molien_bicomm(negation_d1), 10)
         for m in range(6):
@@ -188,7 +188,7 @@ class TestClosedForms:
             for g in group.elements:
                 bulk = RationalFunction(ONE, char_det(g)) - RationalFunction.one()
                 term = bulk * bulk + RationalFunction.from_poly(
-                    UniPoly.from_coeffs([0, g.trace()])
+                    UniPoly([0, g.trace()])
                 )
                 series = expand(term, 1)
                 assert series.coefficient(0) == 0
@@ -206,8 +206,8 @@ class TestExpand:
         series = expand(rf([Fraction(1, 2), 0, -3]), 4)
         assert list(series.coefficients) == [Fraction(1, 2), 0, -3, 0, 0]
 
-    def test_truncation_order(self):
+    def test_expansion_order(self):
         series = expand(rf([1], [1, -1]), 5)
-        assert series.truncation_order == 5
+        assert len(series.coefficients) - 1 == 5
         with pytest.raises(ValueError):
             expand(rf([1], [1, -1]), -1)

@@ -235,7 +235,7 @@ class TestIntegralDependence:
         e1 = elementary_symmetric("y", 2, 1)
         e2 = elementary_symmetric("y", 2, 2)
         assert cert.coefficients == (e2, -e1, YZPolynomial.constant(2, 1))
-        assert cert.substitute_self().is_zero()
+        assert not cert.substitute_self()
 
     def test_negation_gives_difference_of_squares(self, negation_d1):
         cert = integral_dependence_polynomial(negation_d1, "y1")
@@ -245,7 +245,7 @@ class TestIntegralDependence:
             YZPolynomial.constant(1, 1),
         )
         assert cert.coefficients == expected
-        assert cert.substitute_self().is_zero()
+        assert not cert.substitute_self()
 
     def test_trivial_group_gives_linear_factor(self):
         cert = integral_dependence_polynomial(trivial_group(1), "z1")
@@ -258,7 +258,7 @@ class TestIntegralDependence:
         for group in (swap_group, rotation_c4):
             for variable in ("y1", "y2", "z1", "z2"):
                 cert = integral_dependence_polynomial(group, variable)
-                assert cert.substitute_self().is_zero()
+                assert not cert.substitute_self()
                 for coefficient in cert.coefficients:
                     for g in group.elements:
                         assert act_bulk(g, coefficient) == coefficient
