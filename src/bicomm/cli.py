@@ -27,7 +27,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .algebra_core import BicommElement, random_element, term_sort_key
+from .algebra_core import BicommElement, dim_component, random_element, term_sort_key
 from .group_action import (
     DEFAULT_CLOSURE_CAP,
     CapExceededError,
@@ -71,6 +71,11 @@ _VERIFY_SEED = 20_240_601
 
 # Largest `hilbert --order`: coefficients grow like 2^n and are all printed.
 MAX_ORDER = 1000
+
+# Largest `verify --d`, and the most monomials, summed over degrees 1..order,
+# whose invariants `verify` computes for each catalogue group.
+MAX_VERIFY_RANK = 8
+MAX_VERIFY_MONOMIALS = 3000
 
 
 def _rational_function_payload(f: RationalFunction) -> dict:
@@ -182,7 +187,10 @@ def _cmd_invariants(args) -> tuple[int, list[str], dict]:
 
 def _cmd_nonfg(args) -> tuple[int, list[str], dict]:
     if not args.max_degree > args.cutoff:
-        raise ValueError("need search_bound > cutoff_bound >= 1")
+        raise ValueError(
+            f"need --max-degree > --cutoff, got --max-degree {args.max_degree} "
+            f"and --cutoff {args.cutoff}"
+        )
     group, lines, payload = _load_group_header(
         args, cutoff=args.cutoff, max_degree=args.max_degree
     )
@@ -299,6 +307,15 @@ def _verify_checks(d: int, order: int):
 
 
 def _cmd_verify(args) -> tuple[int, list[str], dict]:
+    monomials = 0
+    for n in range(1, args.order + 1):
+        monomials += dim_component(args.d, n)
+        if monomials > MAX_VERIFY_MONOMIALS:
+            raise ValueError(
+                f"--d {args.d} --order {args.order} needs more than "
+                f"{MAX_VERIFY_MONOMIALS} monomials in degrees 1..{args.order}; "
+                "lower --d or --order"
+            )
     checks = []
     all_ok = True
     lines = [f"verification suite: d={args.d}, order={args.order}", ""]
@@ -413,9 +430,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_symmetric)
 
     p = sub.add_parser("verify", help="run the full cross-validation suite")
-    p.add_argument("--d", type=int, default=2, help="rank of the catalogue (default: 2)")
     p.add_argument(
-        "--order", type=_nonnegative_int, default=10, help="expansion order (default: 10)"
+        "--d",
+        type=_int_at_least(1, "positive", MAX_VERIFY_RANK),
+        default=2,
+        help=f"rank of the catalogue, at most {MAX_VERIFY_RANK} (default: 2)",
+    )
+    p.add_argument(
+        "--order",
+        type=_nonnegative_int,
+        default=10,
+        help=f"expansion order (default: 10); at most {MAX_VERIFY_MONOMIALS} "
+        "monomials in degrees 1..order",
     )
     add_format(p)
     p.set_defaults(func=_cmd_verify)

@@ -223,6 +223,36 @@ class TestVerifyCommand:
         assert document["results"]["all_passed"] is True
         assert all(check["pass"] for check in document["results"]["checks"])
 
+    @pytest.fixture
+    def series_without_trace_term(self, monkeypatch):
+        """Replace `cli`'s molien_bicomm by one that drops the tr(g) t term."""
+        from bicomm import char_det
+
+        def broken(group):
+            def term(g):
+                bulk = RationalFunction(UniPoly.one(), char_det(g)) - RationalFunction.one()
+                return bulk * bulk
+
+            return group.average(term)
+
+        monkeypatch.setattr("bicomm.cli.molien_bicomm", broken)
+
+    def test_mismatch_plain(self, capsys, series_without_trace_term):
+        code, out, _ = run_main(capsys, "verify", "--d", "2", "--order", "3")
+        assert code == EXIT_MISMATCH
+        assert any(line.startswith("FAIL  ") for line in out.splitlines())
+        assert "MISMATCH DETECTED" in out
+
+    def test_mismatch_structured(self, capsys, series_without_trace_term):
+        code, out, _ = run_main(
+            capsys, "verify", "--d", "2", "--order", "3", "--format", "structured"
+        )
+        assert code == EXIT_MISMATCH
+        results = json.loads(out)["results"]
+        assert results["all_passed"] is False
+        passed = {check["check"]: check["pass"] for check in results["checks"]}
+        assert passed["trivial group series equals free-algebra series (d=2)"] is False
+
 
 class TestArgumentHandling:
     def test_unknown_flag_rejected(self, capsys):
@@ -268,15 +298,32 @@ class TestArgumentHandling:
         assert "--order" in err
 
     @pytest.mark.parametrize(
-        "bounds",
-        [["--cutoff", "0"], ["--cutoff", "3", "--max-degree", "3"]],
+        "bounds, flag",
+        [
+            (["--cutoff", "0"], "--cutoff"),
+            (["--cutoff", "3", "--max-degree", "3"], "--max-degree"),
+        ],
         ids=["cutoff 0", "max-degree at cutoff"],
     )
-    def test_nonfg_bounds_checked_before_the_group_loads(self, capsys, scaling_file, bounds):
+    def test_nonfg_bounds_checked_before_the_group_loads(
+        self, capsys, scaling_file, bounds, flag
+    ):
         code, out, err = run_main(capsys, "nonfg", "--group", scaling_file, *bounds)
         assert code == EXIT_USAGE
         assert out == ""
         assert "error" in err
+        assert flag in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--d", "1", "--order", "300"], ["--d", "9"]],
+        ids=["too many monomials", "rank above the bound"],
+    )
+    def test_verify_request_is_bounded(self, capsys, argv):
+        code, out, err = run_main(capsys, "verify", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--d" in err
 
     def test_missing_subcommand_rejected(self, capsys):
         code = main([])
