@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bicomm
-from bicomm import RationalFunction, UniPoly
+from bicomm import RationalFunction, UniPoly, char_det
 from bicomm.cli import (
     EXIT_CAP,
     EXIT_GROUP_FILE,
@@ -226,7 +226,6 @@ class TestVerifyCommand:
     @pytest.fixture
     def series_without_trace_term(self, monkeypatch):
         """Replace `cli`'s molien_bicomm by one that drops the tr(g) t term."""
-        from bicomm import char_det
 
         def broken(group):
             def term(g):
