@@ -60,11 +60,11 @@ CONJUGATORS = {
 
 LAW_SEED = 7
 B3_SUBGROUPS = 8
-MAX_ORDER = 24
+MAX_GROUP_ORDER = 24
 
 
 def seeded_b3_subgroups(seed: int, count: int) -> list[tuple[str, list[RationalMatrix]]]:
-    """`count` distinct nontrivial subgroups of B_3 of order <= MAX_ORDER,
+    """`count` distinct nontrivial subgroups of B_3 of order <= MAX_GROUP_ORDER,
     each given by one or two generators drawn with Random(seed)."""
     b3 = group_closure(adjacent_transpositions(3) + [diagonal_matrix([-1, 1, 1])])
     rng = Random(seed)
@@ -74,7 +74,7 @@ def seeded_b3_subgroups(seed: int, count: int) -> list[tuple[str, list[RationalM
         gens = rng.sample(b3.elements, rng.choice((1, 2)))
         group = group_closure(gens)
         key = frozenset(group.elements)
-        if 1 < group.order <= MAX_ORDER and key not in seen:
+        if 1 < group.order <= MAX_GROUP_ORDER and key not in seen:
             seen.add(key)
             found.append((f"B_3 subgroup {len(found)} of order {group.order}", gens))
     return found
