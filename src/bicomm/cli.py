@@ -72,10 +72,13 @@ _VERIFY_SEED = 20_240_601
 # Largest `hilbert --order`: coefficients grow like 2^n and are all printed.
 MAX_ORDER = 1000
 
-# Largest `verify --d`, and the most monomials, summed over degrees 1..order,
-# whose invariants `verify` computes for each catalogue group.
+# Largest `verify --d` and `symmetric --d`.
 MAX_VERIFY_RANK = 8
-MAX_VERIFY_MONOMIALS = 3000
+MAX_SYMMETRIC_RANK = 5
+
+# The most monomials, summed over degrees 1..order, that `verify` (for each
+# catalogue group) or `symmetric` (up to --max-degree) works in.
+MAX_MONOMIALS = 3000
 
 
 def _rational_function_payload(f: RationalFunction) -> dict:
@@ -215,7 +218,21 @@ def _cmd_nonfg(args) -> tuple[int, list[str], dict]:
     return EXIT_OK, lines, document
 
 
+def _check_monomials(d: int, order: int, order_flag: str) -> None:
+    """Reject a request whose degrees 1..order hold more than MAX_MONOMIALS
+    monomials at rank d, before any work; the error names --d and the flag."""
+    monomials = 0
+    for n in range(1, order + 1):
+        monomials += dim_component(d, n)
+        if monomials > MAX_MONOMIALS:
+            raise ValueError(
+                f"--d {d} {order_flag} {order} needs more than {MAX_MONOMIALS} "
+                f"monomials in degrees 1..{order}; lower --d or {order_flag}"
+            )
+
+
 def _cmd_symmetric(args) -> tuple[int, list[str], dict]:
+    _check_monomials(args.d, args.max_degree, "--max-degree")
     result = symmetric_module_generators(args.d, args.max_degree)
     lines = [
         f"rank d: {args.d}",
@@ -307,15 +324,7 @@ def _verify_checks(d: int, order: int):
 
 
 def _cmd_verify(args) -> tuple[int, list[str], dict]:
-    monomials = 0
-    for n in range(1, args.order + 1):
-        monomials += dim_component(args.d, n)
-        if monomials > MAX_VERIFY_MONOMIALS:
-            raise ValueError(
-                f"--d {args.d} --order {args.order} needs more than "
-                f"{MAX_VERIFY_MONOMIALS} monomials in degrees 1..{args.order}; "
-                "lower --d or --order"
-            )
+    _check_monomials(args.d, args.order, "--order")
     checks = []
     all_ok = True
     lines = [f"verification suite: d={args.d}, order={args.order}", ""]
@@ -335,8 +344,8 @@ def _cmd_verify(args) -> tuple[int, list[str], dict]:
 
 
 def _int_at_least(low: int, kind: str, high: int | None = None):
-    """An argparse type: an integer >= low, described as a `kind` integer,
-    and <= high if one is given."""
+    """An argparse type: an integer >= low, described as `kind`, and <= high
+    if one is given."""
 
     def parse(text: str) -> int:
         try:
@@ -344,7 +353,7 @@ def _int_at_least(low: int, kind: str, high: int | None = None):
         except ValueError:
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {value}")
         if high is not None and value > high:
             raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
@@ -352,8 +361,8 @@ def _int_at_least(low: int, kind: str, high: int | None = None):
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
-_nonnegative_int = _int_at_least(0, "nonnegative")
+_positive_int = _int_at_least(1, "a positive integer")
+_nonnegative_int = _int_at_least(0, "a nonnegative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_group(p)
     p.add_argument(
         "--order",
-        type=_int_at_least(0, "nonnegative", MAX_ORDER),
+        type=_int_at_least(0, "a nonnegative integer", MAX_ORDER),
         default=10,
         help=f"expansion order, at most {MAX_ORDER} (default: 10)",
     )
@@ -422,9 +431,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_nonfg)
 
     p = sub.add_parser("symmetric", help="module generators for the symmetric group")
-    p.add_argument("--d", type=int, default=2, help="rank (default: 2)")
     p.add_argument(
-        "--max-degree", type=int, default=6, help="degree bound (default: 6)"
+        "--d",
+        type=_int_at_least(2, "an integer >= 2", MAX_SYMMETRIC_RANK),
+        default=2,
+        help=f"rank, at most {MAX_SYMMETRIC_RANK} (default: 2)",
+    )
+    p.add_argument(
+        "--max-degree",
+        type=_int_at_least(2, "an integer >= 2"),
+        default=6,
+        help=f"degree bound (default: 6); at most {MAX_MONOMIALS} monomials in "
+        "degrees 1..max-degree",
     )
     add_format(p)
     p.set_defaults(func=_cmd_symmetric)
@@ -432,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full cross-validation suite")
     p.add_argument(
         "--d",
-        type=_int_at_least(1, "positive", MAX_VERIFY_RANK),
+        type=_int_at_least(1, "a positive integer", MAX_VERIFY_RANK),
         default=2,
         help=f"rank of the catalogue, at most {MAX_VERIFY_RANK} (default: 2)",
     )
@@ -440,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--order",
         type=_nonnegative_int,
         default=10,
-        help=f"expansion order (default: 10); at most {MAX_VERIFY_MONOMIALS} "
+        help=f"expansion order (default: 10); at most {MAX_MONOMIALS} "
         "monomials in degrees 1..order",
     )
     add_format(p)

@@ -13,14 +13,21 @@ constant term 1):
 
 det(1 - g t) is produced exactly by the Faddeev-LeVerrier trace recursion
 of `RationalMatrix.char_coefficients`; no eigenvalue is ever computed, and
-everything stays inside Q.  Truncated Taylor expansion runs the linear
-recurrence dictated by the denominator.
+everything stays inside Q.  Each averaged term depends on g only through
+det(1 - g t), since tr(g) = -c_1, so the three group series are class sums:
+one term per distinct det(1 - g t), weighted by the number of elements that
+share it (Stanley, Bull. AMS 1, 1979).  `char_classes` finds the classes
+once per group.  Truncated Taylor expansion runs the linear recurrence
+dictated by the denominator.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
 
 from .algebra_core import ExactArithmetic, format_terms, power_by_squaring
 from .group_action import FiniteGroup, RationalMatrix
@@ -251,15 +258,41 @@ def char_det(g: RationalMatrix) -> UniPoly:
     return UniPoly(g.char_coefficients())
 
 
+@lru_cache(maxsize=None)
+def char_classes(group: FiniteGroup) -> tuple[tuple[UniPoly, int], ...]:
+    """Each distinct det(1 - g t) over the group, with the number of elements
+    g that have it, in order of first appearance.
+
+    Cached per group, like `monomial_table`, so the series of one group share
+    a single pass over its elements.
+    """
+    return tuple(Counter(char_det(g) for g in group.elements).items())
+
+
+def _class_sum(group: FiniteGroup, term) -> RationalFunction:
+    """(1/|G|) times the sum of term(det(1 - g t)) over the elements g, one
+    term per class of `char_classes`.  The canonical form of
+    `RationalFunction` makes the result independent of the summation order.
+    """
+    return reduce(
+        operator.add,
+        (term(det) * Fraction(count, group.order) for det, count in char_classes(group)),
+    )
+
+
 def molien_classic(group: FiniteGroup) -> RationalFunction:
     """Average of 1/det(1 - g t): the series of the polynomial invariants."""
-    return group.average(lambda g: RationalFunction(UniPoly.one(), char_det(g)))
+    return _class_sum(group, lambda det: RationalFunction(UniPoly.one(), det))
 
 
 def dicks_formanek(group: FiniteGroup) -> RationalFunction:
-    """Average of 1/(1 - tr(g) t): the free-associative trace analogue."""
-    return group.average(
-        lambda g: RationalFunction(UniPoly.one(), UniPoly((_ONE, -g.trace())))
+    """Average of 1/(1 - tr(g) t): the free-associative trace analogue.
+
+    With det(1 - g t) = 1 + c_1 t + ..., tr(g) = -c_1, so 1 - tr(g) t is
+    1 + c_1 t.
+    """
+    return _class_sum(
+        group, lambda det: RationalFunction(UniPoly.one(), UniPoly((_ONE, det.coefficient(1))))
     )
 
 
@@ -283,8 +316,9 @@ def molien_bicomm(group: FiniteGroup) -> RationalFunction:
     to `hilbert_free_bicomm`.
     """
 
-    def term(g: RationalMatrix) -> RationalFunction:
-        bulk = RationalFunction(UniPoly.one(), char_det(g)) - RationalFunction.one()
-        return bulk * bulk + RationalFunction.from_poly(UniPoly((_ZERO, g.trace())))
+    def term(det: UniPoly) -> RationalFunction:
+        bulk = RationalFunction(UniPoly.one(), det) - RationalFunction.one()
+        trace = -det.coefficient(1)
+        return bulk * bulk + RationalFunction.from_poly(UniPoly((_ZERO, trace)))
 
-    return group.average(term)
+    return _class_sum(group, term)

@@ -16,12 +16,8 @@ from itertools import combinations, product
 
 from .algebra_core import YZPolynomial, indicator
 from .group_action import act_bulk, adjacent_transpositions, symmetric_group
-from .invariants import (
-    EchelonBasis,
-    add_products,
-    coefficient_spans,
-    invariant_dimension,
-)
+from .hilbert import expand, molien_bicomm
+from .invariants import EchelonBasis, add_products, coefficient_spans
 
 
 def _disjoint_products(d: int, p: int, q: int) -> YZPolynomial:
@@ -180,13 +176,17 @@ def symmetric_module_generators(d: int, degree_bound: int) -> SymmetricModuleGen
     stops as soon as the two agree at every degree.  The per-degree
     comparison is returned as a saturation report, together with the
     empirically sufficient exponent bound for each polarization.
+
+    The invariant dimensions are the coefficients of `molien_bicomm(S_d)`,
+    not Reynolds bases; `verify` and the acceptance tests check that series
+    against the Reynolds dimensions.
     """
     if d < 2:
         raise ValueError("rank must be >= 2")
     if degree_bound < 2:
         raise ValueError("degree bound must be >= 2")
-    s_d = symmetric_group(d)
-    invariant_dims = {n: invariant_dimension(s_d, n) for n in range(2, degree_bound + 1)}
+    series = expand(molien_bicomm(symmetric_group(d)), degree_bound)
+    invariant_dims = {n: int(series.coefficient(n)) for n in range(2, degree_bound + 1)}
     coefficient_gens = [
         elementary_symmetric(alphabet, d, k)
         for alphabet in ("y", "z")

@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 
 from bicomm import (
+    RationalFunction,
     RationalMatrix,
+    UniPoly,
+    char_det,
     diagonal_matrix,
     group_closure,
     permutation_matrix,
@@ -11,6 +14,29 @@ from bicomm import (
     trivial_group,
 )
 from bicomm.group_action import adjacent_transpositions
+
+
+def _per_element_series(group):
+    """molien_classic, dicks_formanek and molien_bicomm as averages of one
+    term per element, with tr(g) from the matrix: the route that the class
+    sums of `bicomm.hilbert` replace, kept as their oracle."""
+    one = RationalFunction.one()
+
+    def bulk(g):
+        return RationalFunction(UniPoly.one(), char_det(g)) - one
+
+    return (
+        group.average(lambda g: RationalFunction(UniPoly.one(), char_det(g))),
+        group.average(lambda g: RationalFunction(UniPoly.one(), UniPoly((1, -g.trace())))),
+        group.average(
+            lambda g: bulk(g) * bulk(g) + RationalFunction.from_poly(UniPoly((0, g.trace())))
+        ),
+    )
+
+
+@pytest.fixture(scope="session")
+def per_element_series():
+    return _per_element_series
 
 
 @pytest.fixture(scope="session")

@@ -324,6 +324,23 @@ class TestArgumentHandling:
         assert out == ""
         assert "--d" in err
 
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["--d", "6"], ["--d"]),
+            (["--d", "40", "--max-degree", "2"], ["--d"]),
+            (["--d", "3", "--max-degree", "9"], ["--d", "--max-degree"]),
+        ],
+        ids=["rank above the bound", "rank far above the bound", "too many monomials"],
+    )
+    def test_symmetric_request_is_bounded(self, capsys, argv, flags):
+        code, out, err = run_main(capsys, "symmetric", *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        for flag in flags:
+            assert flag in err
+
     def test_missing_subcommand_rejected(self, capsys):
         code = main([])
         capsys.readouterr()

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import permutations
 
@@ -8,9 +9,12 @@ from bicomm import (
     RationalMatrix,
     UniPoly,
     char_det,
+    diagonal_matrix,
     dicks_formanek,
     dim_component,
     expand,
+    group_closure,
+    group_file_document,
     hilbert_free_bicomm,
     invariant_dimension,
     molien_bicomm,
@@ -18,7 +22,10 @@ from bicomm import (
     permutation_matrix,
     trivial_group,
 )
-from bicomm.hilbert import poly_gcd
+from bicomm import hilbert
+from bicomm.cli import main
+from bicomm.group_action import adjacent_transpositions
+from bicomm.hilbert import char_classes, poly_gcd
 
 ONE = UniPoly.one()
 T = UniPoly((0, 1))
@@ -193,6 +200,51 @@ class TestClosedForms:
                 series = expand(term, 1)
                 assert series.coefficient(0) == 0
                 assert series.coefficient(1) == g.trace()
+
+
+B3_GENERATORS = adjacent_transpositions(3) + [diagonal_matrix([-1, 1, 1])]
+
+
+@pytest.fixture(scope="module")
+def b3_group():
+    """The signed permutations B_3, of order 48."""
+    return group_closure(B3_GENERATORS)
+
+
+class TestClassSums:
+    """The three series are summed once per class of `char_classes`; the
+    per-element averages they replace are the oracle."""
+
+    def test_series_match_the_per_element_average(
+        self, catalogue, b3_group, dihedral_d6, s3_conjugated, per_element_series
+    ):
+        groups = catalogue + [("B_3", b3_group), ("D_6", dihedral_d6), ("S_3^P", s3_conjugated)]
+        for name, group in groups:
+            series = (molien_classic(group), dicks_formanek(group), molien_bicomm(group))
+            assert series == per_element_series(group), name
+
+    def test_classes_partition_the_group(self, b3_group):
+        classes = char_classes(b3_group)
+        dets = [det for det, _ in classes]
+        assert len(set(dets)) == len(dets) < b3_group.order
+        assert sum(count for _, count in classes) == b3_group.order
+        for det, count in classes:
+            assert count == sum(char_det(g) == det for g in b3_group.elements)
+
+    def test_hilbert_run_computes_each_char_det_once(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "b3.group"
+        path.write_text(json.dumps(group_file_document(3, B3_GENERATORS)))
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return char_det(g)
+
+        monkeypatch.setattr(hilbert, "char_det", counted)
+        char_classes.cache_clear()
+        assert main(["hilbert", "--group", str(path), "--order", "4"]) == 0
+        capsys.readouterr()
+        assert len(calls) == len(set(calls)) == 48
 
 
 class TestExpand:

@@ -183,11 +183,17 @@ class TestModuleGeneratorSearch:
         assert final.invariant_dimension == invariant_dimension(swap_group, 4)
 
     def test_rank_three_saturates(self):
-        result = symmetric_module_generators(3, 5)
-        assert result.saturated_everywhere()
+        assert symmetric_module_generators(3, 5).saturated_everywhere()
+
+    @pytest.mark.parametrize("d, bound", [(2, 6), (3, 5)])
+    def test_invariant_dimensions_match_reynolds(self, d, bound):
+        """The search reads its dimensions off molien_bicomm(S_d); Reynolds
+        bases are the oracle."""
+        result = symmetric_module_generators(d, bound)
+        assert [entry.degree for entry in result.saturation] == list(range(2, bound + 1))
         for entry in result.saturation:
             assert entry.invariant_dimension == invariant_dimension(
-                symmetric_group(3), entry.degree
+                symmetric_group(d), entry.degree
             )
 
     def test_bad_parameters_rejected(self):
