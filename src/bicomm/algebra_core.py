@@ -279,10 +279,6 @@ class YZPolynomial(ExactArithmetic):
             return degrees.pop()
         return None
 
-    def is_bulk(self) -> bool:
-        """True when every term has a y factor and a z factor."""
-        return all(sum(a) >= 1 and sum(b) >= 1 for a, b in self.terms)
-
     def __str__(self) -> str:
         ordered = sorted(self.terms, key=term_sort_key)
         return format_terms([(self.terms[k], _format_monomial(k)) for k in ordered])
@@ -291,14 +287,20 @@ class YZPolynomial(ExactArithmetic):
         return f"YZPolynomial(d={self.rank}: {self})"
 
 
+def _in_model(key: TermKey) -> bool:
+    """Whether a lift key is a monomial of the model: a generator z_i, or a
+    bulk monomial with at least one y and one z factor."""
+    alpha, beta = key
+    return any(beta) and (any(alpha) or sum(beta) == 1)
+
+
 @dataclass(frozen=True)
 class BicommElement(ExactArithmetic):
     """An algebra element, stored as its lift: x_i becomes z_i, the bulk stays.
 
     The lift is linear, injective and commutes with the group action, so
     sums, scalars and group averages are those of the one polynomial.
-    Every term of `lift` is a generator z_i or a bulk monomial with at least
-    one y and one z factor; that condition is checked at construction time.
+    Every term of `lift` must satisfy `_in_model`; construction checks it.
     """
 
     rank: int
@@ -307,10 +309,8 @@ class BicommElement(ExactArithmetic):
     def __post_init__(self) -> None:
         if self.lift.rank != self.rank:
             raise ValueError("lift has mismatched rank")
-        for alpha, beta in self.lift.terms:
-            generator = not any(alpha) and sum(beta) == 1
-            if not (generator or any(alpha) and any(beta)):
-                raise ValueError("lift term is neither a z_i nor a bulk monomial")
+        if not all(map(_in_model, self.lift.terms)):
+            raise ValueError("lift term is neither a z_i nor a bulk monomial")
 
     @classmethod
     def generator(cls, rank: int, index: int) -> "BicommElement":
@@ -328,7 +328,7 @@ class BicommElement(ExactArithmetic):
 
     @classmethod
     def from_bulk(cls, poly: YZPolynomial) -> "BicommElement":
-        if not poly.is_bulk():
+        if not all(any(key[0]) and _in_model(key) for key in poly.terms):
             raise ValueError("bulk part contains a monomial missing a y or z factor")
         return cls(poly.rank, poly)
 
@@ -414,22 +414,9 @@ def monomial_table(d: int, n: int) -> MonomialTable:
     return MonomialTable(keys, {key: i for i, key in enumerate(keys)})
 
 
-def bulk_monomial_keys(d: int, n: int) -> list[TermKey]:
-    """The (alpha, beta) keys of the degree-n bulk monomials, canonical order.
-
-    The full table starts with the pure-z monomials and ends with the
-    pure-y ones, comb(n + d - 1, d - 1) of each, so the bulk is the slice
-    between them.
-    """
-    if n < 2:
-        raise ValueError("bulk monomials start at degree 2")
-    keys = monomial_table(d, n).keys
-    edge = math.comb(n + d - 1, d - 1)
-    return list(keys[edge : len(keys) - edge])
-
-
 def basis_component(d: int, n: int) -> list[BicommElement]:
-    """The canonical monomial basis of the degree-n homogeneous component.
+    """The canonical monomial basis of the degree-n homogeneous component:
+    the keys of `monomial_table(d, n)` that are monomials of the model.
 
     Degree 1 gives the generators x_1..x_d; degree n >= 2 gives the bulk
     monomials in the canonical order.  There is no degree-0 component: the
@@ -437,11 +424,10 @@ def basis_component(d: int, n: int) -> list[BicommElement]:
     """
     if n < 1:
         raise ValueError("the algebra has no homogeneous component of degree < 1")
-    if n == 1:
-        return [BicommElement.generator(d, i) for i in range(1, d + 1)]
     return [
-        BicommElement.from_bulk(YZPolynomial.monomial(d, alpha, beta))
-        for alpha, beta in bulk_monomial_keys(d, n)
+        BicommElement(d, YZPolynomial(d, {key: _ONE}))
+        for key in monomial_table(d, n).keys
+        if _in_model(key)
     ]
 
 

@@ -77,7 +77,8 @@ MAX_VERIFY_RANK = 8
 MAX_SYMMETRIC_RANK = 5
 
 # The most monomials, summed over degrees 1..order, that `verify` (for each
-# catalogue group) or `symmetric` (up to --max-degree) works in.
+# catalogue group), `invariants`, `nonfg` or `symmetric` (up to --max-degree)
+# works in.
 MAX_MONOMIALS = 3000
 
 
@@ -166,18 +167,19 @@ def _cmd_hilbert(args) -> tuple[int, list[str], dict]:
 
 def _cmd_invariants(args) -> tuple[int, list[str], dict]:
     group, lines, payload = _load_group_header(args, max_degree=args.max_degree)
+    _check_monomials(group.rank, args.max_degree, "--max-degree")
     lines.append("")
     degrees = []
     for n in range(1, args.max_degree + 1):
         basis = invariant_basis(group, n)
-        lines.append(f"degree {n}: dimension {basis.dimension}")
-        for element in basis.elements:
+        lines.append(f"degree {n}: dimension {len(basis)}")
+        for element in basis:
             lines.append(f"  {element}")
         degrees.append(
             {
                 "degree": n,
-                "dimension": basis.dimension,
-                "basis": [_element_payload(e) for e in basis.elements],
+                "dimension": len(basis),
+                "basis": [_element_payload(e) for e in basis],
             }
         )
     document = {
@@ -197,9 +199,10 @@ def _cmd_nonfg(args) -> tuple[int, list[str], dict]:
     group, lines, payload = _load_group_header(
         args, cutoff=args.cutoff, max_degree=args.max_degree
     )
-    report = nonfg_witness(group, args.cutoff, args.max_degree)
+    _check_monomials(group.rank, args.max_degree, "--max-degree")
+    gaps = nonfg_witness(group, args.cutoff, args.max_degree)
     lines += [f"searched degrees up to {args.max_degree}", ""]
-    for gap in report.gaps:
+    for gap in gaps:
         if gap.gap_degree is None:
             lines.append(
                 f"cutoff {gap.cutoff}: no gap found up to degree {args.max_degree}"
@@ -213,21 +216,23 @@ def _cmd_nonfg(args) -> tuple[int, list[str], dict]:
     document = {
         "command": "nonfg",
         "input": payload,
-        "results": {"gaps": [asdict(gap) for gap in report.gaps]},
+        "results": {"gaps": [asdict(gap) for gap in gaps]},
     }
     return EXIT_OK, lines, document
 
 
 def _check_monomials(d: int, order: int, order_flag: str) -> None:
     """Reject a request whose degrees 1..order hold more than MAX_MONOMIALS
-    monomials at rank d, before any work; the error names --d and the flag."""
+    monomials at rank d, before any basis is built; the error names the rank
+    and the flag."""
     monomials = 0
     for n in range(1, order + 1):
         monomials += dim_component(d, n)
         if monomials > MAX_MONOMIALS:
             raise ValueError(
-                f"--d {d} {order_flag} {order} needs more than {MAX_MONOMIALS} "
-                f"monomials in degrees 1..{order}; lower --d or {order_flag}"
+                f"{order_flag} {order} at rank d = {d} needs more than "
+                f"{MAX_MONOMIALS} monomials in degrees 1..{order}; lower "
+                f'{order_flag} or d (--d, or "d" in the group file)'
             )
 
 
@@ -408,7 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=_positive_int,
         default=6,
-        help="largest degree to compute (default: 6)",
+        help=f"largest degree to compute (default: 6); at most {MAX_MONOMIALS} "
+        "monomials in degrees 1..max-degree",
     )
     add_format(p)
     p.set_defaults(func=_cmd_invariants)
@@ -425,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=_positive_int,
         default=8,
-        help="largest degree searched, above the cutoff (default: 8)",
+        help=f"largest degree searched, above the cutoff (default: 8); at most "
+        f"{MAX_MONOMIALS} monomials in degrees 1..max-degree",
     )
     add_format(p)
     p.set_defaults(func=_cmd_nonfg)

@@ -8,8 +8,8 @@ identity.  The Reynolds operator is the plain group average, taken over the
 polynomial lift of an element (see `algebra_core`), with which it commutes.
 
 This module also owns the on-disk group format: a JSON document with an
-integer field "d" and a field "generators" holding d x d arrays of rationals
-written as "p/q" or "p" strings.
+integer field "d" in 1..16 and a field "generators" holding d x d arrays of
+rationals written as "p/q" or "p" strings.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ from typing import Iterable, Sequence
 from .algebra_core import BicommElement, YZPolynomial
 
 DEFAULT_CLOSURE_CAP = 100_000
+
+# The largest rank a group file may declare: char_det is O(d^4) per element
+# and an identity matrix alone holds d^2 entries.
+_MAX_FILE_RANK = 16
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -358,6 +362,8 @@ def read_group_file(path) -> tuple[int, list[RationalMatrix]]:
     rank = doc["d"]
     if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise GroupFileError(f'"d" must be a positive integer, got {rank!r}')
+    if rank > _MAX_FILE_RANK:
+        raise GroupFileError(f'"d" must be at most {_MAX_FILE_RANK}, got {rank}')
     raw_gens = doc["generators"]
     if not isinstance(raw_gens, list):
         raise GroupFileError('"generators" must be a list of matrices')

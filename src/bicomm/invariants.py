@@ -113,19 +113,7 @@ def row_to_element(row: SparseRow, d: int, degree: int) -> BicommElement:
     return BicommElement(d, _row_to_poly(row, d, degree))
 
 
-@dataclass(frozen=True)
-class InvariantBasis:
-    """Row-reduced basis of the degree-n invariants of the algebra."""
-
-    degree: int
-    elements: tuple[BicommElement, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.elements)
-
-
-def invariant_basis(group: FiniteGroup, n: int) -> InvariantBasis:
+def invariant_basis(group: FiniteGroup, n: int) -> tuple[BicommElement, ...]:
     """Echelonized basis of the G-invariants in degree n.
 
     Computed as the row space of the Reynolds images of the canonical
@@ -137,12 +125,11 @@ def invariant_basis(group: FiniteGroup, n: int) -> InvariantBasis:
     basis = EchelonBasis()
     for monomial in basis_component(d, n):
         basis.add(element_to_row(reynolds(group, monomial), n))
-    elements = tuple(row_to_element(r, d, n) for r in basis.rows())
-    return InvariantBasis(degree=n, elements=elements)
+    return tuple(row_to_element(r, d, n) for r in basis.rows())
 
 
 def invariant_dimension(group: FiniteGroup, n: int) -> int:
-    return invariant_basis(group, n).dimension
+    return len(invariant_basis(group, n))
 
 
 def commutative_invariant_dimension(group: FiniteGroup, n: int) -> int:
@@ -222,18 +209,9 @@ class CutoffGap:
     invariant_dimension: int | None
 
 
-@dataclass(frozen=True)
-class NonFgReport:
-    group_order: int
-    cutoff_bound: int
-    search_bound: int
-    gaps: tuple[CutoffGap, ...]
-
-    def gap_for_every_cutoff(self) -> bool:
-        return all(entry.gap_degree is not None for entry in self.gaps)
-
-
-def nonfg_witness(group: FiniteGroup, cutoff_bound: int, search_bound: int) -> NonFgReport:
+def nonfg_witness(
+    group: FiniteGroup, cutoff_bound: int, search_bound: int
+) -> tuple[CutoffGap, ...]:
     """Empirical finite-generation gaps, one per cutoff c <= cutoff_bound.
 
     The gap of c is the first degree n <= search_bound where the subalgebra
@@ -246,20 +224,20 @@ def nonfg_witness(group: FiniteGroup, cutoff_bound: int, search_bound: int) -> N
     """
     if not (search_bound > cutoff_bound >= 1):
         raise ValueError("need search_bound > cutoff_bound >= 1")
-    spans = {1: list(invariant_basis(group, 1).elements)}
+    spans = {1: list(invariant_basis(group, 1))}
     entries: list[CutoffGap] = []
     for n in range(2, search_bound + 1):
         if len(entries) == cutoff_bound:
             break
         products = _product_span(spans, n).dimension
-        spans[n] = list(invariant_basis(group, n).elements)
+        spans[n] = list(invariant_basis(group, n))
         if products < len(spans[n]):
             # The gap of every cutoff below n that has none yet.
             for cutoff in range(len(entries) + 1, min(n, cutoff_bound + 1)):
                 entries.append(CutoffGap(cutoff, n, products, len(spans[n])))
     for cutoff in range(len(entries) + 1, cutoff_bound + 1):
         entries.append(CutoffGap(cutoff, None, None, None))
-    return NonFgReport(group.order, cutoff_bound, search_bound, tuple(entries))
+    return tuple(entries)
 
 
 _VARIABLE_RE = re.compile(r"^([yz])([1-9]\d*)$")
@@ -273,7 +251,7 @@ class IntegralDependence:
     indeterminate; the leading one is the constant 1.
     """
 
-    variable: str
+    variable: YZPolynomial
     coefficients: tuple[YZPolynomial, ...]
 
     @property
@@ -282,14 +260,12 @@ class IntegralDependence:
 
     def substitute_self(self) -> YZPolynomial:
         """Plug the variable itself into the polynomial; zero certifies it."""
-        d = self.coefficients[0].rank
-        alphabet, index = _VARIABLE_RE.match(self.variable).groups()
-        v = YZPolynomial.variable(d, alphabet, int(index))
+        d = self.variable.rank
         total = YZPolynomial.zero(d)
         power = YZPolynomial.constant(d, 1)
         for coefficient in self.coefficients:
             total = total + coefficient * power
-            power = power * v
+            power = power * self.variable
         return total
 
 
@@ -319,7 +295,7 @@ def integral_dependence_polynomial(group: FiniteGroup, variable: str) -> Integra
             lowered = image * coefficients[k] if k < len(coefficients) else zero
             nxt.append(shifted - lowered)
         coefficients = nxt
-    return IntegralDependence(variable, tuple(coefficients))
+    return IntegralDependence(v, tuple(coefficients))
 
 
 def add_products(

@@ -119,8 +119,6 @@ class DegreeSaturation:
 class SymmetricModuleGenerators:
     """Result of the greedy module-generator search for the symmetric group."""
 
-    rank: int
-    degree_bound: int
     generators: tuple[ModuleGenerator, ...]
     saturation: tuple[DegreeSaturation, ...]
     exponent_bounds: dict[tuple[int, int], int]
@@ -222,10 +220,4 @@ def symmetric_module_generators(d: int, degree_bound: int) -> SymmetricModuleGen
     for generator in selected:
         for pq, exponent in generator.polarizations:
             bounds[pq] = max(bounds.get(pq, 0), exponent)
-    return SymmetricModuleGenerators(
-        rank=d,
-        degree_bound=degree_bound,
-        generators=tuple(selected),
-        saturation=saturation,
-        exponent_bounds=bounds,
-    )
+    return SymmetricModuleGenerators(tuple(selected), saturation, bounds)

@@ -132,6 +132,14 @@ class TestHilbertCommand:
         assert out == ""
         assert "error" in err
 
+    def test_group_file_rank_is_bounded(self, capsys, tmp_path):
+        path = tmp_path / "rank17.group"
+        path.write_text(json.dumps({"d": 17, "generators": []}))
+        code, out, err = run_main(capsys, "hilbert", "--group", str(path), "--order", "1")
+        assert code == EXIT_GROUP_FILE
+        assert out == ""
+        assert "at most 16" in err
+
     @pytest.mark.parametrize(
         "content",
         [
@@ -340,6 +348,28 @@ class TestArgumentHandling:
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
         for flag in flags:
             assert flag in err
+
+    @pytest.mark.parametrize(
+        "generators, argv",
+        [
+            ([], ["invariants", "--max-degree", "78"]),
+            ([[["-1"]]], ["nonfg", "--cutoff", "1", "--max-degree", "78"]),
+        ],
+        ids=["invariants", "nonfg with an early gap"],
+    )
+    def test_group_request_is_bounded(self, capsys, tmp_path, generators, argv):
+        # Rank 1, degrees 1..78: 3,004 monomials, over MAX_MONOMIALS.
+        path = tmp_path / "rank1.group"
+        path.write_text(json.dumps({"d": 1, "generators": generators}))
+        code, out, err = run_main(capsys, argv[0], "--group", str(path), *argv[1:])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--max-degree 78" in err
+
+    def test_largest_admitted_invariants_request_at_rank_two(self, capsys, s2_file):
+        code, out, _ = run_main(capsys, "invariants", "--group", s2_file, "--max-degree", "14")
+        assert code == EXIT_OK
+        assert "degree 14: dimension" in out
 
     def test_missing_subcommand_rejected(self, capsys):
         code = main([])
