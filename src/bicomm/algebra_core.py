@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
@@ -153,7 +153,7 @@ class YZPolynomial(ExactArithmetic):
     are immutable by convention: arithmetic always allocates fresh term
     dictionaries and never touches its operands.  The plain constructor
     trusts its input to be canonical (no zero coefficients, exponent tuples
-    of length `rank`); use `from_terms` for unchecked external data.
+    of length `rank`).
     """
 
     rank: int
@@ -207,22 +207,6 @@ class YZPolynomial(ExactArithmetic):
         if not coeff:
             return cls.zero(rank)
         return cls(rank, {(tuple(alpha), tuple(beta)): coeff})
-
-    @classmethod
-    def from_terms(
-        cls, rank: int, mapping: Mapping[TermKey, Fraction | int]
-    ) -> "YZPolynomial":
-        """Canonicalize untrusted term data: coerce, validate, drop zeros."""
-        terms: dict[TermKey, Fraction] = {}
-        for (alpha, beta), coeff in mapping.items():
-            if len(alpha) != rank or len(beta) != rank:
-                raise ValueError("exponent vectors must have length equal to the rank")
-            if any(e < 0 for e in alpha) or any(e < 0 for e in beta):
-                raise ValueError("exponents must be nonnegative")
-            coeff = Fraction(coeff)
-            if coeff:
-                terms[(tuple(alpha), tuple(beta))] = coeff
-        return cls(rank, terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)

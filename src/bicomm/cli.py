@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import asdict
@@ -491,10 +492,14 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.format == "structured":
-        print(json.dumps(document, indent=2))
-    else:
-        print("\n".join(lines))
+    text = json.dumps(document, indent=2) if args.format == "structured" else "\n".join(lines)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does).  Point it at devnull
+        # so that the flush at interpreter exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -146,7 +146,7 @@ class FiniteGroup:
     """An explicit finite subgroup of GL_d(Q): identity first, no duplicates.
 
     Instances are produced by `group_closure`, which guarantees closure under
-    products and inverses; `validate` re-checks those invariants from scratch.
+    products and inverses.
     """
 
     rank: int
@@ -163,22 +163,6 @@ class FiniteGroup:
         result type to start from.
         """
         return reduce(operator.add, map(term, self.elements)) * Fraction(1, self.order)
-
-    def validate(self) -> None:
-        """Re-verify all group axioms by brute force (test support)."""
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError("duplicate elements")
-        if not self.elements or not self.elements[0].is_identity():
-            raise ValueError("identity must be present and listed first")
-        members = set(self.elements)
-        for g in self.elements:
-            if g.size != self.rank:
-                raise ValueError("element of wrong size")
-            if not any((g * h).is_identity() for h in self.elements):
-                raise ValueError("element without inverse")
-            for h in self.elements:
-                if g * h not in members:
-                    raise ValueError("not closed under products")
 
 
 # The largest order of a finite subgroup of GL_d(Q) for d = 1..10 (Feit 1995;
@@ -332,19 +316,8 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
-def group_file_document(rank: int, generators: Iterable[RationalMatrix]) -> dict:
-    """The JSON-ready document for a group file, rationals in canonical form."""
-    return {
-        "d": rank,
-        "generators": [
-            [[format_rational(v) for v in row] for row in g.entries]
-            for g in generators
-        ],
-    }
-
-
 def read_group_file(path) -> tuple[int, list[RationalMatrix]]:
-    """Parse and validate a group file; returns (rank, generator matrices)."""
+    """Parse and check a group file; returns (rank, generator matrices)."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

@@ -84,14 +84,6 @@ class EchelonBasis:
         return [dict(self._pivots[c]) for c in sorted(self._pivots)]
 
 
-def rref(rows) -> list[SparseRow]:
-    """Reduced row echelon form of a batch of sparse rows (canonical)."""
-    basis = EchelonBasis()
-    for row in rows:
-        basis.add(row)
-    return basis.rows()
-
-
 def poly_to_row(poly: YZPolynomial, degree: int) -> SparseRow:
     """Coordinates of a degree-n polynomial over `monomial_table(d, n)`."""
     index = monomial_table(poly.rank, degree).index
@@ -240,7 +232,8 @@ def nonfg_witness(
     return tuple(entries)
 
 
-_VARIABLE_RE = re.compile(r"^([yz])([1-9]\d*)$")
+# [0-9], not \d, and fullmatch, not $: "y1\u0661" or "y1\n" is no variable name.
+_VARIABLE_RE = re.compile(r"([yz])([1-9][0-9]*)")
 
 
 @dataclass(frozen=True)
@@ -276,7 +269,7 @@ def integral_dependence_polynomial(group: FiniteGroup, variable: str) -> Integra
     elementary symmetric polynomials of the orbit of v, hence G-invariant,
     and v itself is a root.
     """
-    match = _VARIABLE_RE.match(variable)
+    match = _VARIABLE_RE.fullmatch(variable)
     if not match:
         raise ValueError(f"variable must look like y1 or z2, got {variable!r}")
     alphabet, index_text = match.groups()

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .algebra_core import YZPolynomial, indicator
-from .group_action import act_bulk, adjacent_transpositions, symmetric_group
+from .group_action import symmetric_group
 from .hilbert import expand, molien_bicomm
 from .invariants import EchelonBasis, add_products, coefficient_spans
 
@@ -48,11 +48,6 @@ def polarized_elementary(d: int, p: int, q: int) -> YZPolynomial:
     if p + q > d:
         raise ValueError(f"need p + q <= d, got p={p}, q={q}, d={d}")
     return _disjoint_products(d, p, q)
-
-
-def is_symmetric(poly: YZPolynomial) -> bool:
-    """Invariance under the simultaneous index action of each adjacent swap."""
-    return all(act_bulk(g, poly) == poly for g in adjacent_transpositions(poly.rank))
 
 
 @dataclass(frozen=True)

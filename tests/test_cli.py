@@ -43,6 +43,12 @@ def scaling_file(tmp_path):
     return str(path)
 
 
+def child_env():
+    """Environment for a child that imports the same package as this process,
+    installed or not."""
+    return dict(os.environ, PYTHONPATH=str(Path(bicomm.__file__).resolve().parents[1]))
+
+
 def run_main(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -377,13 +383,29 @@ class TestArgumentHandling:
         assert code == EXIT_USAGE
 
     def test_module_entry_point(self, s2_file):
-        # The child imports the same package as this process, installed or not.
-        source = str(Path(bicomm.__file__).resolve().parents[1])
         result = subprocess.run(
             [sys.executable, "-m", "bicomm", "hilbert", "--group", s2_file, "--order", "4"],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=source),
+            env=child_env(),
         )
         assert result.returncode == EXIT_OK
         assert "[0, 1, 2, 6, 13]" in result.stdout
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_closed_stdout_is_not_an_error(self, s2_file, fmt):
+        # At the largest order the output is far larger than a 64 KB pipe
+        # buffer, so the child is still writing when the reader goes away.
+        argv = ["hilbert", "--group", s2_file, "--order", str(MAX_ORDER), "--format", fmt]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "bicomm", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        child.stdout.read(10)
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=120) == EXIT_OK
+        assert "Traceback" not in err

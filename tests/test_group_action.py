@@ -18,7 +18,6 @@ from bicomm import (
     diagonal_matrix,
     format_rational,
     group_closure,
-    group_file_document,
     parse_rational,
     permutation_matrix,
     random_element,
@@ -126,7 +125,14 @@ class TestClosure:
 
     def test_group_axioms_hold(self, catalogue):
         for _, group in catalogue:
-            group.validate()
+            assert len(set(group.elements)) == len(group.elements)
+            assert group.elements and group.elements[0].is_identity()
+            members = set(group.elements)
+            for g in group.elements:
+                assert g.size == group.rank
+                assert any((g * h).is_identity() for h in group.elements)
+                for h in group.elements:
+                    assert g * h in members
 
     def test_element_orders_divide_group_order(self, catalogue):
         for _, group in catalogue:
@@ -309,7 +315,8 @@ class TestGroupFiles:
     def test_round_trip(self, tmp_path):
         generators = [SWAP, diagonal_matrix([Fraction(-1), Fraction(1)])]
         path = tmp_path / "b2.group"
-        path.write_text(json.dumps(group_file_document(2, generators)))
+        swap, sign = [["0", "1"], ["1", "0"]], [["-1", "0"], ["0", "1"]]
+        path.write_text(json.dumps({"d": 2, "generators": [swap, sign]}))
         rank, parsed = read_group_file(path)
         assert rank == 2
         assert parsed == generators

@@ -14,7 +14,6 @@ from bicomm import (
     dim_component,
     expand,
     group_closure,
-    group_file_document,
     hilbert_free_bicomm,
     invariant_dimension,
     molien_bicomm,
@@ -233,7 +232,8 @@ class TestClassSums:
 
     def test_hilbert_run_computes_each_char_det_once(self, monkeypatch, capsys, tmp_path):
         path = tmp_path / "b3.group"
-        path.write_text(json.dumps(group_file_document(3, B3_GENERATORS)))
+        generators = [[[str(v) for v in row] for row in g.entries] for g in B3_GENERATORS]
+        path.write_text(json.dumps({"d": 3, "generators": generators}))
         calls = []
 
         def counted(g):

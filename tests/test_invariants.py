@@ -23,7 +23,14 @@ from bicomm import (
     subalgebra_span_dimension,
     trivial_group,
 )
-from bicomm.invariants import EchelonBasis, element_to_row, row_to_element, rref
+from bicomm.invariants import EchelonBasis, element_to_row, row_to_element
+
+
+def rref(rows):
+    basis = EchelonBasis()
+    for row in rows:
+        basis.add(row)
+    return basis.rows()
 
 
 def bulk(d, alpha, beta, coeff=1):
@@ -262,6 +269,12 @@ class TestIntegralDependence:
         for bad in ("x1", "y0", "y3", "w2"):
             with pytest.raises(ValueError):
                 integral_dependence_polynomial(swap_group, bad)
+
+    def test_variable_name_is_ascii_and_whole(self):
+        # At rank 11 "y1\u0661" would otherwise read as y11 and "y1\n" as y1.
+        for bad in ("y1\u0661", "y1\n"):
+            with pytest.raises(ValueError):
+                integral_dependence_polynomial(trivial_group(11), bad)
 
 
 class TestModuleSpans:

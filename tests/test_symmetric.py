@@ -8,15 +8,19 @@ from bicomm import (
     act_bulk,
     elementary_symmetric,
     invariant_dimension,
-    is_symmetric,
     polarized_elementary,
     symmetric_group,
     symmetric_module_generators,
     verify_d2_identity,
 )
 from bicomm.algebra_core import monomial_table
+from bicomm.group_action import adjacent_transpositions
 from bicomm.invariants import EchelonBasis, coefficient_spans, poly_to_row
 from bicomm.symmetric import module_candidates
+
+
+def is_symmetric(poly):
+    return all(act_bulk(g, poly) == poly for g in adjacent_transpositions(poly.rank))
 
 
 def full_two_alphabet_invariant_dimension(d, n):
