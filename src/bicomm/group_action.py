@@ -4,7 +4,12 @@ A group element g sends the generator x_j to sum_i g[i][j] x_i, and acts on
 the bulk variables the same way (y_j and z_j transform exactly like x_j), so
 the action is by algebra automorphisms.  Groups are materialized as explicit
 element lists, closed under multiplication by breadth-first search from the
-identity.  The Reynolds operator is the plain group average, taken over the
+identity.  A matrix is kept as integer numerators over one common
+denominator, so the closure's products and det(1 - g t) run on integers.
+Before any closure step, each generator must pass an exact finite-order
+test; an infinite group whose generators all have finite order still stops
+at B(d), the largest order of a finite subgroup of GL_d(Q), or at the cap.
+The Reynolds operator is the plain group average, taken over the
 polynomial lift of an element (see `algebra_core`), with which it commutes.
 
 This module also owns the on-disk group format: a JSON document with an
@@ -21,11 +26,11 @@ import re
 import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .algebra_core import BicommElement, YZPolynomial
+from .algebra_core import BicommElement, YZPolynomial, power_by_squaring
 
 DEFAULT_CLOSURE_CAP = 100_000
 
@@ -49,22 +54,73 @@ class GroupFileError(ValueError):
     """Raised when a group file is missing, malformed or inconsistent."""
 
 
-@dataclass(frozen=True)
 class RationalMatrix:
-    """An immutable square matrix of exact rationals, hashable for dedup."""
+    """An immutable square matrix of exact rationals, hashable for dedup.
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    The matrix is kept in one canonical integer form: its entries, row by
+    row, as integer numerators over one positive common denominator, with no
+    factor common to all of them.  Equality and hashing read that form, and
+    a product is one integer product, reduced once.  `entries`, the rows of
+    `Fraction`s, is derived from it on first access and kept.
+    """
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(Fraction(v) for v in row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
+    __slots__ = ("size", "_numerators", "_denominator", "_hash", "_entries")
+
+    def __init__(self, entries) -> None:
+        rows = [[Fraction(v) for v in row] for row in entries]
         d = len(rows)
         if d == 0 or any(len(row) != d for row in rows):
             raise ValueError("matrix must be square and nonempty")
+        # Over the lcm of the reduced denominators no common factor is left.
+        q = math.lcm(*(v.denominator for row in rows for v in row))
+        numerators = tuple(v.numerator * (q // v.denominator) for row in rows for v in row)
+        self._init(d, numerators, q)
+
+    def _init(self, d: int, numerators: tuple[int, ...], denominator: int) -> None:
+        set_slot = object.__setattr__
+        set_slot(self, "size", d)
+        set_slot(self, "_numerators", numerators)
+        set_slot(self, "_denominator", denominator)
+        set_slot(self, "_hash", hash((numerators, denominator)))
+        set_slot(self, "_entries", None)
+
+    @classmethod
+    def _reduced(cls, d: int, numerators: list[int], denominator: int) -> "RationalMatrix":
+        """The matrix numerators / denominator (denominator > 0), reduced."""
+        common = math.gcd(denominator, *numerators)
+        if common != 1:
+            numerators = [n // common for n in numerators]
+            denominator //= common
+        matrix = object.__new__(cls)
+        matrix._init(d, tuple(numerators), denominator)
+        return matrix
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RationalMatrix is immutable; cannot set {name!r}")
 
     @property
-    def size(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._entries is None:
+            d, q = self.size, self._denominator
+            values = [Fraction(n, q) for n in self._numerators]
+            rows = tuple(tuple(values[i : i + d]) for i in range(0, d * d, d))
+            object.__setattr__(self, "_entries", rows)
+        return self._entries
+
+    def _rows(self) -> list[tuple[int, ...]]:
+        d, a = self.size, self._numerators
+        return [a[i : i + d] for i in range(0, d * d, d)]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RationalMatrix):
+            return NotImplemented
+        return (
+            self._denominator == other._denominator
+            and self._numerators == other._numerators
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def identity(cls, d: int) -> "RationalMatrix":
@@ -73,40 +129,46 @@ class RationalMatrix:
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        if self.size != other.size:
+        d = self.size
+        if d != other.size:
             raise ValueError("matrix sizes differ")
-        cols = tuple(zip(*other.entries))
-        return RationalMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.entries
-            )
+        b = other._numerators
+        cols = [b[j::d] for j in range(d)]
+        return RationalMatrix._reduced(
+            d,
+            [sum(map(operator.mul, row, col)) for row in self._rows() for col in cols],
+            self._denominator * other._denominator,
         )
 
     def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.size)), _ZERO)
+        d = self.size
+        return Fraction(sum(self._numerators[:: d + 1]), self._denominator)
 
     def char_coefficients(self) -> tuple[Fraction, ...]:
         """Coefficients of det(1 - self t), ascending: 1, c_1, ..., c_d.
 
         The Faddeev-LeVerrier trace recursion yields the c_k with
-        det(s - self) = s^d + c_1 s^(d-1) + ... + c_d.  Division happens only
-        by the integers 1..d, which is harmless in characteristic zero.
+        det(s - self) = s^d + c_1 s^(d-1) + ... + c_d.  It runs on the
+        integer matrix M = q * self, where every division by k = 1..d is
+        exact, and c_k(self) = c_k(M) / q^k.
         """
-        d = self.size
-        a = self.entries
-        m = [[_ONE if i == j else _ZERO for j in range(d)] for i in range(d)]
-        coeffs: list[Fraction] = [_ONE]
+        d, q = self.size, self._denominator
+        rows = self._rows()
+        m = [[int(i == j) for j in range(d)] for i in range(d)]
+        coeffs = [_ONE]
+        scale = 1
         for k in range(1, d + 1):
-            m = [
-                [sum((a[i][l] * m[l][j] for l in range(d)), _ZERO) for j in range(d)]
-                for i in range(d)
-            ]
-            c = -sum((m[i][i] for i in range(d)), _ZERO) / k
-            coeffs.append(c)
+            scale *= q
+            cols = list(zip(*m))
             if k < d:
+                m = [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
+                c = -sum(m[i][i] for i in range(d)) // k
                 for i in range(d):
                     m[i][i] += c
+            else:
+                # The last step needs only the trace of M m.
+                c = -sum(sum(map(operator.mul, rows[i], cols[i])) for i in range(d)) // k
+            coeffs.append(Fraction(c, scale))
         return tuple(coeffs)
 
     def det(self) -> Fraction:
@@ -119,6 +181,9 @@ class RationalMatrix:
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(v) for v in row) for row in self.entries) + "]"
+
+    def __repr__(self) -> str:
+        return f"RationalMatrix(entries={self.entries!r})"
 
 
 def permutation_matrix(perm: Sequence[int]) -> RationalMatrix:
@@ -181,6 +246,71 @@ def max_finite_order(d: int) -> int:
     return 2**d * math.factorial(d)
 
 
+def _totient(n: int) -> int:
+    """Euler's phi(n), by trial division."""
+    result, rest, p = n, n, 2
+    while p * p <= rest:
+        if rest % p == 0:
+            while rest % p == 0:
+                rest //= p
+            result -= result // p
+        p += 1
+    if rest > 1:
+        result -= result // rest
+    return result
+
+
+def _exact_quotient(poly: Sequence[int], divisor: Sequence[int]) -> list[int] | None:
+    """poly / divisor over Z for a monic divisor, both in descending powers,
+    or None when the division leaves a remainder."""
+    rest = list(poly)
+    top = len(rest) - len(divisor) + 1
+    if top < 1:
+        return None
+    for i in range(top):
+        c = rest[i]
+        if c:
+            for j in range(1, len(divisor)):
+                rest[i + j] -= c * divisor[j]
+    return None if any(rest[top:]) else rest[:top]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Phi_n in descending powers: s^n - 1 over the Phi_k for k | n, k < n."""
+    poly = [1] + [0] * (n - 1) + [-1]
+    for k in range(1, n):
+        if n % k == 0:
+            poly = _exact_quotient(poly, _cyclotomic(k))
+    return tuple(poly)
+
+
+def _has_finite_order(g: RationalMatrix) -> bool:
+    """Whether g^m = 1 for some m >= 1, decided exactly.
+
+    The eigenvalues of a matrix of finite order are roots of unity, so
+    det(s - g) has integer coefficients and is a product of cyclotomic
+    polynomials Phi_n; a factor Phi_n has degree phi(n) <= d, which forces
+    n <= 2 d^2.  Then g has finite order exactly when g^m = 1 for m the lcm
+    of those n: its minimal polynomial must divide s^m - 1.
+    """
+    coeffs = g.char_coefficients()
+    if any(c.denominator != 1 for c in coeffs):
+        return False
+    poly = [c.numerator for c in coeffs]
+    order = 1
+    for n in range(1, 2 * g.size**2 + 1):
+        if len(poly) == 1:
+            break
+        if _totient(n) >= len(poly):
+            continue
+        while (quotient := _exact_quotient(poly, _cyclotomic(n))) is not None:
+            poly = quotient
+            order = math.lcm(order, n)
+    identity = RationalMatrix.identity(g.size)
+    return len(poly) == 1 and power_by_squaring(g, order, identity) == identity
+
+
 def group_closure(
     generators: Iterable[RationalMatrix],
     cap: int = DEFAULT_CLOSURE_CAP,
@@ -190,10 +320,10 @@ def group_closure(
 
     Elements are enumerated deterministically: the queue is processed in
     discovery order and each element is multiplied on the right by the
-    generators in their given order.  Raises `CapExceededError` once the
-    closure grows past `cap`, or past `max_finite_order(rank)`, which only
-    an infinite group can do, and `SingularMatrixError` for a non-invertible
-    generator.
+    generators in their given order.  Raises `SingularMatrixError` for a
+    non-invertible generator, and `CapExceededError` before any closure step
+    for a generator of infinite order, or once the closure grows past `cap`
+    or past `max_finite_order(rank)`, which only an infinite group can do.
     """
     gens = list(generators)
     if rank is None:
@@ -207,6 +337,14 @@ def group_closure(
             raise SingularMatrixError(f"generator is singular: {g}")
     bound = max_finite_order(rank)
     limit = min(cap, bound)
+    beyond_cap = (
+        f"cap of {limit} elements (no finite subgroup of GL_{rank}(Q) has more than {bound})"
+    )
+    for g in gens:
+        if not _has_finite_order(g):
+            raise CapExceededError(
+                f"generator {g} has infinite order, so its group would exceed the {beyond_cap}"
+            )
     identity = RationalMatrix.identity(rank)
     elements = [identity]
     seen = {identity}
@@ -218,10 +356,7 @@ def group_closure(
             nxt = current * g
             if nxt not in seen:
                 if len(elements) + 1 > limit:
-                    raise CapExceededError(
-                        f"group closure exceeded cap of {limit} elements (no "
-                        f"finite subgroup of GL_{rank}(Q) has more than {bound})"
-                    )
+                    raise CapExceededError(f"group closure exceeded {beyond_cap}")
                 seen.add(nxt)
                 elements.append(nxt)
     return FiniteGroup(rank, tuple(elements))

@@ -11,7 +11,6 @@ from bicomm import (
     group_closure,
     permutation_matrix,
     symmetric_group,
-    trivial_group,
 )
 from bicomm.group_action import adjacent_transpositions
 
@@ -37,6 +36,52 @@ def _per_element_series(group):
 @pytest.fixture(scope="session")
 def per_element_series():
     return _per_element_series
+
+
+def _fraction_product(a, b):
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
+
+
+def _fraction_closure(generators, rank):
+    """Breadth-first closure over rows of `Fraction`s, each element times each
+    generator in order: the route that the integer closure of `group_closure`
+    replaces, kept as its oracle.  Returns the elements' rows."""
+    gens = [g.entries for g in generators]
+    identity = tuple(tuple(Fraction(int(i == j)) for j in range(rank)) for i in range(rank))
+    elements, seen = [identity], {identity}
+    for current in elements:
+        for g in gens:
+            product = _fraction_product(current, g)
+            if product not in seen:
+                seen.add(product)
+                elements.append(product)
+    return tuple(elements)
+
+
+def _fraction_char_coefficients(rows):
+    """det(1 - g t), ascending, by Faddeev-LeVerrier on the `Fraction` rows:
+    the route that the integer recursion of `char_coefficients` replaces."""
+    d = len(rows)
+    m = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    coeffs = [Fraction(1)]
+    for k in range(1, d + 1):
+        m = [list(row) for row in _fraction_product(rows, m)]
+        c = -sum(m[i][i] for i in range(d)) / k
+        coeffs.append(c)
+        for i in range(d):
+            m[i][i] += c
+    return tuple(coeffs)
+
+
+@pytest.fixture(scope="session")
+def fraction_closure():
+    return _fraction_closure
+
+
+@pytest.fixture(scope="session")
+def fraction_char_coefficients():
+    return _fraction_char_coefficients
 
 
 @pytest.fixture(scope="session")
@@ -78,29 +123,43 @@ def dihedral_d6():
 
 
 @pytest.fixture(scope="session")
-def s3_conjugated():
-    """S_3 conjugated by a fixed rational P; the generators have entries
-    +-1/3 and 2/3 (the same group as the golden tests' S_3^P)."""
+def s3_conjugated_generators():
+    """The transpositions of S_3 conjugated by a fixed rational P; they have
+    entries +-1/3 and 2/3 (they generate the golden tests' S_3^P)."""
     p = RationalMatrix([[2, 1, 0], [0, 1, 1], [1, 0, 1]])
     third = Fraction(1, 3)
     p_inv = RationalMatrix(
         [[third, -third, third], [third, 2 * third, -2 * third], [-third, third, 2 * third]]
     )
     assert (p * p_inv).is_identity()
-    return group_closure([p * g * p_inv for g in adjacent_transpositions(3)])
+    return [p * g * p_inv for g in adjacent_transpositions(3)]
 
 
 @pytest.fixture(scope="session")
-def catalogue(swap_group, negation_d1, negation_d2, rotation_c4, signed_permutations_d2, s3_group):
+def s3_conjugated(s3_conjugated_generators):
+    return group_closure(s3_conjugated_generators)
+
+
+@pytest.fixture(scope="session")
+def catalogue_generators():
+    """(name, rank, generators) of each group of the acceptance catalogue."""
+    swap = permutation_matrix((1, 0))
+    return [
+        ("trivial d=1", 1, []),
+        ("trivial d=2", 2, []),
+        ("trivial d=3", 3, []),
+        ("negation d=1", 1, [diagonal_matrix([-1])]),
+        ("negation d=2", 2, [diagonal_matrix([-1, -1])]),
+        ("S_2 d=2", 2, [swap]),
+        ("S_3 d=3", 3, adjacent_transpositions(3)),
+        ("C_4 d=2", 2, [RationalMatrix([[0, -1], [1, 0]])]),
+        ("signed permutations d=2", 2, [swap, diagonal_matrix([-1, 1])]),
+    ]
+
+
+@pytest.fixture(scope="session")
+def catalogue(catalogue_generators):
     """The full acceptance catalogue of (name, group) pairs."""
     return [
-        ("trivial d=1", trivial_group(1)),
-        ("trivial d=2", trivial_group(2)),
-        ("trivial d=3", trivial_group(3)),
-        ("negation d=1", negation_d1),
-        ("negation d=2", negation_d2),
-        ("S_2 d=2", swap_group),
-        ("S_3 d=3", s3_group),
-        ("C_4 d=2", rotation_c4),
-        ("signed permutations d=2", signed_permutations_d2),
+        (name, group_closure(gens, rank=rank)) for name, rank, gens in catalogue_generators
     ]

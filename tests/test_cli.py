@@ -103,6 +103,39 @@ class TestHilbertCommand:
         assert out == ""
         assert "cap of 12 elements" in err
 
+    @pytest.mark.parametrize(
+        "d,block",
+        [
+            (6, [["2"]]),
+            (6, [["2", "1"], ["1", "1"]]),
+            (6, [["0", "1"], ["1", "1"]]),
+            (6, [["1", "1"], ["0", "1"]]),
+            (6, [["1/2"]]),
+            (16, [["0", "1"], ["1", "1"]]),
+        ],
+        ids=[
+            "diag(2,1,...)", "[[2,1],[1,1]]", "golden", "shear", "diag(1/2,1,...)", "golden d=16"
+        ],
+    )
+    def test_infinite_generator_exits_within_a_second(self, tmp_path, d, block):
+        # block + I: at rank 6 and above, B(d) exceeds the default cap, and
+        # closing such a group up to the cap would run for minutes.
+        rows = [["1" if i == j else "0" for j in range(d)] for i in range(d)]
+        for i, row in enumerate(block):
+            rows[i][: len(row)] = row
+        path = tmp_path / "infinite.group"
+        path.write_text(json.dumps({"d": d, "generators": [rows]}))
+        result = subprocess.run(
+            [sys.executable, "-m", "bicomm", "hilbert", "--group", str(path)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=1,
+        )
+        assert result.returncode == EXIT_CAP
+        assert result.stdout == ""
+        assert "infinite order" in result.stderr and "cap of 100000 elements" in result.stderr
+
     def test_missing_group_file(self, capsys, tmp_path):
         code, _, err = run_main(capsys, "hilbert", "--group", str(tmp_path / "nope"))
         assert code == EXIT_GROUP_FILE

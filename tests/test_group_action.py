@@ -146,6 +146,103 @@ class TestClosure:
                 assert group.order % order == 0
 
 
+def companion(coeffs):
+    """The companion matrix of the monic s^d + coeffs[0] s^(d-1) + ... + coeffs[-1]."""
+    d = len(coeffs)
+    rows = [[int(j == i - 1) for j in range(d)] for i in range(d)]
+    for i, c in enumerate(reversed(coeffs)):
+        rows[i][d - 1] = -c
+    return RationalMatrix(rows)
+
+
+def block_sum(*blocks):
+    """diag(blocks[0], blocks[1], ...)."""
+    d = sum(b.size for b in blocks)
+    rows, start = [], 0
+    for b in blocks:
+        rows += [(0,) * start + row + (0,) * (d - start - b.size) for row in b.entries]
+        start += b.size
+    return RationalMatrix(rows)
+
+
+class TestFiniteOrderCheck:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            diagonal_matrix([2, 1, 1, 1, 1, 1]),
+            diagonal_matrix([Fraction(1, 2), 1, 1, 1, 1, 1]),
+            block_sum(RationalMatrix([[-1, 1], [0, -1]]), RationalMatrix.identity(2)),
+            block_sum(RationalMatrix([[0, 1], [1, 1]]), RationalMatrix.identity(2)),
+            companion([0, 0, 0, 0, -2]),
+        ],
+        ids=["diag(2,1,...)", "diag(1/2,1,...)", "-shear", "golden", "s^5 - 2"],
+    )
+    def test_infinite_generator_fails_before_the_closure(self, g):
+        with pytest.raises(CapExceededError, match=r"infinite order.*cap of \d+ elements"):
+            group_closure([g])
+
+    @pytest.mark.parametrize(
+        "g,order",
+        [
+            (companion([1, 1, 1, 1]), 5),
+            (companion([0, -1, 0, 1]), 12),
+            (block_sum(companion([1, 1]), companion([0, 1])), 12),
+            (block_sum(companion([1]), companion([1, 1]), companion([-1, 1, -1, 1])), 30),
+        ],
+        ids=["Phi_5", "Phi_12", "Phi_3 + Phi_4", "Phi_2 + Phi_3 + Phi_10"],
+    )
+    def test_finite_generator_closes_to_its_order(self, g, order):
+        assert group_closure([g]).order == order
+
+
+class TestIntegerForm:
+    def test_equal_rationals_give_equal_matrices(self):
+        half, two_quarters = RationalMatrix([[Fraction(1, 2)]]), RationalMatrix([["2/4"]])
+        assert half == two_quarters
+        assert hash(half) == hash(two_quarters)
+        assert two_quarters.entries == ((Fraction(1, 2),),)
+
+    def test_entries_round_trip(self):
+        rng = random.Random(17)
+        for d in range(1, 5):
+            for _ in range(10):
+                rows = tuple(
+                    tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 2, 4, 6))) for _ in range(d))
+                    for _ in range(d)
+                )
+                g = RationalMatrix(rows)
+                assert g.entries == rows
+                assert RationalMatrix(g.entries) == g
+                assert str(g) == "[" + "; ".join(" ".join(map(str, r)) for r in rows) + "]"
+
+    def test_products_reduce_to_the_canonical_form(self):
+        product = diagonal_matrix([2, 4]) * diagonal_matrix([Fraction(1, 2), Fraction(1, 4)])
+        assert product == RationalMatrix.identity(2)
+        assert hash(product) == hash(RationalMatrix.identity(2))
+        assert product.is_identity()
+
+    def test_matrices_are_immutable(self):
+        with pytest.raises(AttributeError):
+            SWAP.size = 3
+
+    def test_closure_matches_the_fraction_oracle(
+        self, catalogue_generators, s3_conjugated_generators, fraction_closure
+    ):
+        cases = [(rank, gens) for _, rank, gens in catalogue_generators]
+        cases.append((3, s3_conjugated_generators))
+        for rank, gens in cases:
+            group = group_closure(gens, rank=rank)
+            assert tuple(g.entries for g in group.elements) == fraction_closure(gens, rank)
+
+    def test_char_coefficients_match_the_fraction_oracle(
+        self, catalogue, s3_conjugated, dihedral_d6, fraction_char_coefficients
+    ):
+        groups = [group for _, group in catalogue] + [s3_conjugated, dihedral_d6]
+        for group in groups:
+            for g in group.elements:
+                assert g.char_coefficients() == fraction_char_coefficients(g.entries)
+
+
 class TestDeterminant:
     @staticmethod
     def leibniz(rows):

@@ -28,7 +28,8 @@ Contragredient, doubling and direct sums are checked on the conjugate
 P^-1 G P, whose entries are not integers and whose matrices are not
 orthogonal, so g^-T differs from g.  The class sums of the three series are
 also compared with the per-element averages they replace, on the same
-conjugates.
+conjugates, and the integer closure and `char_coefficients` with their
+`Fraction` oracles, on each group and its conjugate.
 """
 
 from fractions import Fraction
@@ -235,6 +236,16 @@ class TestLaws:
     def test_class_sums_match_the_per_element_average(self, gens, per_element_series):
         conjugated = tuple(conjugate(gens))
         assert three_series(conjugated) == per_element_series(closure(conjugated))
+
+    def test_integer_layer_matches_the_fraction_oracles(
+        self, gens, fraction_closure, fraction_char_coefficients
+    ):
+        for generators in (gens, conjugate(gens)):
+            group = closure(tuple(generators))
+            rows = tuple(g.entries for g in group.elements)
+            assert rows == fraction_closure(generators, group.rank)
+            for g in group.elements:
+                assert g.char_coefficients() == fraction_char_coefficients(g.entries)
 
     def test_subgroup_has_at_least_the_invariants(self, gens):
         conjugated = conjugate(gens)
