@@ -14,8 +14,8 @@ the generators x_i land in the polynomial part according to the table
 
 so the "bulk" of the algebra multiplies like an ordinary commutative
 polynomial ring, while generators feed a y in from the left and a z in from
-the right.  Every coefficient is an exact `fractions.Fraction`; there is no
-floating point anywhere.
+the right.  Every coefficient is an exact `int` or `fractions.Fraction`;
+they compare, hash and print alike, and there is no floating point anywhere.
 
 The algebra is non-unital and graded: degree 1 is spanned by the x_i, and
 degree n >= 2 by the monomials Y^a Z^b with |a| >= 1, |b| >= 1, |a|+|b| = n.
@@ -38,8 +38,13 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+
+def _exact(value):
+    """`value` itself if it is an int (not a bool) or a Fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"coefficient must be an int or a Fraction, got {value!r}")
+    return value
 
 
 def compositions(total: int, parts: int) -> Iterator[Exponents]:
@@ -149,7 +154,8 @@ class ExactArithmetic:
 class YZPolynomial(ExactArithmetic):
     """Sparse exact polynomial in the 2d commuting variables y_1..y_d, z_1..z_d.
 
-    `terms` maps (y-exponents, z-exponents) to a nonzero Fraction.  Instances
+    `terms` maps (y-exponents, z-exponents) to a nonzero `int` or `Fraction`
+    (they compare, hash and print alike).  Instances
     are immutable by convention: arithmetic always allocates fresh term
     dictionaries and never touches its operands.  The plain constructor
     trusts its input to be canonical (no zero coefficients, exponent tuples
@@ -157,15 +163,15 @@ class YZPolynomial(ExactArithmetic):
     """
 
     rank: int
-    terms: dict[TermKey, Fraction]
+    terms: dict[TermKey, int | Fraction]
 
     @classmethod
     def zero(cls, rank: int) -> "YZPolynomial":
         return cls(rank, {})
 
     @classmethod
-    def constant(cls, rank: int, value: Fraction | int) -> "YZPolynomial":
-        value = Fraction(value)
+    def constant(cls, rank: int, value: int | Fraction) -> "YZPolynomial":
+        value = _exact(value)
         zeros = (0,) * rank
         return cls(rank, {(zeros, zeros): value} if value else {})
 
@@ -176,19 +182,20 @@ class YZPolynomial(ExactArithmetic):
             raise ValueError(f"alphabet must be 'y' or 'z', got {alphabet!r}")
         if not 1 <= index <= rank:
             raise ValueError(f"variable index {index} out of range 1..{rank}")
-        coeffs = [_ZERO] * rank
-        coeffs[index - 1] = _ONE
+        coeffs = [0] * rank
+        coeffs[index - 1] = 1
         return cls.linear(alphabet, coeffs)
 
     @classmethod
-    def linear(cls, alphabet: str, coeffs: Sequence[Fraction]) -> "YZPolynomial":
+    def linear(cls, alphabet: str, coeffs: Sequence[int | Fraction]) -> "YZPolynomial":
         """sum_i coeffs[i] * y_(i+1) for alphabet "y", the same in z for "z".
 
-        Trusted like the plain constructor: coefficients must be Fractions.
+        Trusted like the plain constructor: coefficients must be ints or
+        Fractions; they compare, hash and print alike.
         """
         rank = len(coeffs)
         zeros = (0,) * rank
-        terms: dict[TermKey, Fraction] = {}
+        terms: dict[TermKey, int | Fraction] = {}
         for i, coeff in enumerate(coeffs):
             if coeff:
                 unit = indicator(rank, (i,))
@@ -201,9 +208,9 @@ class YZPolynomial(ExactArithmetic):
         rank: int,
         alpha: Exponents,
         beta: Exponents,
-        coeff: Fraction | int = 1,
+        coeff: int | Fraction = 1,
     ) -> "YZPolynomial":
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         if not coeff:
             return cls.zero(rank)
         return cls(rank, {(tuple(alpha), tuple(beta)): coeff})
@@ -221,7 +228,7 @@ class YZPolynomial(ExactArithmetic):
         self._check_rank(other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            total = out.get(key, _ZERO) + coeff
+            total = out.get(key, 0) + coeff
             if total:
                 out[key] = total
             else:
@@ -234,14 +241,14 @@ class YZPolynomial(ExactArithmetic):
     def __mul__(self, other):
         if isinstance(other, YZPolynomial):
             self._check_rank(other)
-            out: dict[TermKey, Fraction] = {}
+            out: dict[TermKey, int | Fraction] = {}
             for (a1, b1), c1 in self.terms.items():
                 for (a2, b2), c2 in other.terms.items():
                     key = (
                         tuple(x + y for x, y in zip(a1, a2)),
                         tuple(x + y for x, y in zip(b1, b2)),
                     )
-                    total = out.get(key, _ZERO) + c1 * c2
+                    total = out.get(key, 0) + c1 * c2
                     if total:
                         out[key] = total
                     else:
@@ -305,7 +312,7 @@ class BicommElement(ExactArithmetic):
 
     @classmethod
     def from_linear(cls, rank: int, coeffs) -> "BicommElement":
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [_exact(c) for c in coeffs]
         if len(coeffs) != rank:
             raise ValueError("linear part must have one coefficient per generator")
         return cls(rank, YZPolynomial.linear("z", coeffs))
@@ -317,10 +324,10 @@ class BicommElement(ExactArithmetic):
         return cls(poly.rank, poly)
 
     @property
-    def linear(self) -> tuple[Fraction, ...]:
+    def linear(self) -> tuple[int | Fraction, ...]:
         """The coefficients of x_1..x_d (the z_i, first in `monomial_table(d, 1)`)."""
         generators = monomial_table(self.rank, 1).keys[: self.rank]
-        return tuple(self.lift.terms.get(key, _ZERO) for key in generators)
+        return tuple(self.lift.terms.get(key, 0) for key in generators)
 
     @property
     def bulk(self) -> YZPolynomial:
@@ -409,7 +416,7 @@ def basis_component(d: int, n: int) -> list[BicommElement]:
     if n < 1:
         raise ValueError("the algebra has no homogeneous component of degree < 1")
     return [
-        BicommElement(d, YZPolynomial(d, {key: _ONE}))
+        BicommElement(d, YZPolynomial(d, {key: 1}))
         for key in monomial_table(d, n).keys
         if _in_model(key)
     ]

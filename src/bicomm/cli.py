@@ -280,26 +280,35 @@ def _cmd_symmetric(args) -> tuple[int, list[str], dict]:
     return (EXIT_OK if result.saturated_everywhere() else EXIT_MISMATCH), lines, document
 
 
+def _series_mismatch(group_name: str, series: TruncatedSeries, dimension) -> dict | None:
+    """The first degree at which `series` differs from the brute-force
+    `dimension(n)`, as a verify detail; None when they agree up to its order."""
+    for n, coefficient in enumerate(series.coefficients):
+        if coefficient != (brute_force := dimension(n)):
+            return {"group": group_name, "degree": n,
+                    "series": format_rational(coefficient), "dimension": brute_force}
+    return None
+
+
 def _verify_checks(d: int, order: int):
-    """Yield (check name, passed) pairs for the whole cross-validation suite."""
+    """Yield (check name, passed, detail) for the whole cross-validation
+    suite; a failed series check's detail names the first bad degree, and
+    every other detail is None."""
     rng = random.Random(_VERIFY_SEED)
     yield (
         f"trivial group series equals free-algebra series (d={d})",
         molien_bicomm(trivial_group(d)) == hilbert_free_bicomm(d),
+        None,
     )
     for name, group in catalogued_groups(d):
-        series = expand(molien_bicomm(group), order)
-        dims_ok = series.coefficient(0) == 0 and all(
-            series.coefficient(n) == invariant_dimension(group, n)
-            for n in range(1, order + 1)
-        )
-        yield (f"{name}: bicommutative series matches Reynolds dimensions", dims_ok)
-        classic = expand(molien_classic(group), order)
-        classic_ok = all(
-            classic.coefficient(n) == commutative_invariant_dimension(group, n)
-            for n in range(0, order + 1)
-        )
-        yield (f"{name}: classical series matches commutative dimensions", classic_ok)
+        for claim, series, dimension in (
+            ("bicommutative series matches Reynolds dimensions", molien_bicomm,
+             lambda n: invariant_dimension(group, n) if n else 0),
+            ("classical series matches commutative dimensions", molien_classic,
+             lambda n: commutative_invariant_dimension(group, n)),
+        ):
+            mismatch = _series_mismatch(name, expand(series(group), order), dimension)
+            yield (f"{name}: {claim}", mismatch is None, mismatch)
         reynolds_ok = True
         for _ in range(3):
             element = random_element(rng, d)
@@ -310,23 +319,24 @@ def _verify_checks(d: int, order: int):
                 reynolds_ok = False
         trace_average = group.average(RationalMatrix.trace)
         reynolds_ok = reynolds_ok and invariant_dimension(group, 1) == trace_average
-        yield (f"{name}: Reynolds operator suite", reynolds_ok)
+        yield (f"{name}: Reynolds operator suite", reynolds_ok, None)
     identities_ok = True
     for _ in range(100):
         a, b, c = (random_element(rng, d) for _ in range(3))
         if ((a * b) * c != (a * c) * b) or (a * (b * c) != b * (a * c)):
             identities_ok = False
             break
-    yield ("bicommutative identities on random triples", identities_ok)
+    yield ("bicommutative identities on random triples", identities_ok, None)
     if d >= 2:
         x1 = BicommElement.generator(d, 1)
         x2 = BicommElement.generator(d, 2)
         yield (
             "one-sided products differ (noncommutativity witness)",
             x1 * (x2 * x2) != (x2 * x2) * x1,
+            None,
         )
     report = verify_d2_identity()
-    yield ("two-alphabet symmetric identity at rank 2", report.holds)
+    yield ("two-alphabet symmetric identity at rank 2", report.holds, None)
 
 
 def _cmd_verify(args) -> tuple[int, list[str], dict]:
@@ -334,10 +344,16 @@ def _cmd_verify(args) -> tuple[int, list[str], dict]:
     checks = []
     all_ok = True
     lines = [f"verification suite: d={args.d}, order={args.order}", ""]
-    for name, ok in _verify_checks(args.d, args.order):
+    for name, ok, detail in _verify_checks(args.d, args.order):
         status = "PASS" if ok else "FAIL"
         lines.append(f"{status}  {name}")
         checks.append({"check": name, "pass": ok})
+        if detail is not None:
+            lines.append(
+                f"      {detail['group']}, degree {detail['degree']}: series coefficient "
+                f"{detail['series']}, brute-force dimension {detail['dimension']}"
+            )
+            checks[-1]["detail"] = detail
         all_ok = all_ok and ok
     lines.append("")
     lines.append("all checks passed" if all_ok else "MISMATCH DETECTED")

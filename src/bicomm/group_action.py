@@ -38,10 +38,6 @@ DEFAULT_CLOSURE_CAP = 100_000
 # and an identity matrix alone holds d^2 entries.
 _MAX_FILE_RANK = 16
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 class CapExceededError(RuntimeError):
     """Raised when a closure grows past its cap (infinite or oversized group)."""
 
@@ -61,7 +57,8 @@ class RationalMatrix:
     row, as integer numerators over one positive common denominator, with no
     factor common to all of them.  Equality and hashing read that form, and
     a product is one integer product, reduced once.  `entries`, the rows of
-    `Fraction`s, is derived from it on first access and kept.
+    values, is derived from it on first access and kept: `int`s when the
+    common denominator is 1, `Fraction`s otherwise.
     """
 
     __slots__ = ("size", "_numerators", "_denominator", "_hash", "_entries")
@@ -99,10 +96,10 @@ class RationalMatrix:
         raise AttributeError(f"RationalMatrix is immutable; cannot set {name!r}")
 
     @property
-    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+    def entries(self) -> tuple[tuple[int | Fraction, ...], ...]:
         if self._entries is None:
             d, q = self.size, self._denominator
-            values = [Fraction(n, q) for n in self._numerators]
+            values = self._numerators if q == 1 else [Fraction(n, q) for n in self._numerators]
             rows = tuple(tuple(values[i : i + d]) for i in range(0, d * d, d))
             object.__setattr__(self, "_entries", rows)
         return self._entries
@@ -124,7 +121,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, d: int) -> "RationalMatrix":
-        return diagonal_matrix([_ONE] * d)
+        return diagonal_matrix([1] * d)
 
     def __mul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if not isinstance(other, RationalMatrix):
@@ -155,7 +152,7 @@ class RationalMatrix:
         d, q = self.size, self._denominator
         rows = self._rows()
         m = [[int(i == j) for j in range(d)] for i in range(d)]
-        coeffs = [_ONE]
+        coeffs = [Fraction(1)]
         scale = 1
         for k in range(1, d + 1):
             scale *= q
@@ -191,19 +188,12 @@ def permutation_matrix(perm: Sequence[int]) -> RationalMatrix:
     d = len(perm)
     if sorted(perm) != list(range(d)):
         raise ValueError(f"not a permutation of 0..{d - 1}: {perm!r}")
-    return RationalMatrix(
-        tuple(
-            tuple(_ONE if perm[j] == i else _ZERO for j in range(d)) for i in range(d)
-        )
-    )
+    return RationalMatrix([[int(perm[j] == i) for j in range(d)] for i in range(d)])
 
 
 def diagonal_matrix(values: Sequence) -> RationalMatrix:
-    vals = [Fraction(v) for v in values]
-    d = len(vals)
-    return RationalMatrix(
-        tuple(tuple(vals[i] if i == j else _ZERO for j in range(d)) for i in range(d))
-    )
+    d = len(values)
+    return RationalMatrix([[values[i] if i == j else 0 for j in range(d)] for i in range(d)])
 
 
 @dataclass(frozen=True)
@@ -381,13 +371,11 @@ def symmetric_group(d: int) -> FiniteGroup:
     return group_closure(adjacent_transpositions(d), rank=d)
 
 
-def act_linear(g: RationalMatrix, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def act_linear(g: RationalMatrix, coeffs: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
     """Image of a linear coefficient vector: the vector maps by the matrix g."""
     if g.size != len(coeffs):
         raise ValueError("rank mismatch between matrix and coefficient vector")
-    return tuple(
-        sum((row[j] * coeffs[j] for j in range(g.size)), _ZERO) for row in g.entries
-    )
+    return tuple(sum(map(operator.mul, row, coeffs)) for row in g.entries)
 
 
 def act_bulk(g: RationalMatrix, poly: YZPolynomial) -> YZPolynomial:

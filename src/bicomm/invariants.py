@@ -1,16 +1,18 @@
 """Degree-wise invariants by exact linear algebra.
 
 Everything here reduces to one primitive: an incrementally maintained
-reduced echelon basis of sparse rational rows.  Reynolds images of the
-monomial basis give invariant bases; iterated products of lower-degree
-spans give subalgebra components; coefficient-algebra products applied to
-module generators give module spans.  All ranks are exact, columns are
-indexed by the canonical monomial order, and pivots are scaled to 1, so
-every output is canonical and reproducible.
+echelon basis of sparse integer rows.  Reynolds images of the monomial
+basis give invariant bases; iterated products of lower-degree spans give
+subalgebra components; coefficient-algebra products applied to module
+generators give module spans.  All ranks are exact, columns are indexed by
+the canonical monomial order, and output bases have pivots scaled to 1, so
+every output is canonical and reproducible.  Coefficients are `int` or
+`Fraction`; they compare, hash and print alike.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,64 +26,88 @@ from .algebra_core import (
 )
 from .group_action import FiniteGroup, act_bulk, reynolds
 
-SparseRow = dict[int, Fraction]
-
-_ZERO = Fraction(0)
+SparseRow = dict[int, int | Fraction]
 
 
-def _axpy(target: SparseRow, factor: Fraction, source: SparseRow) -> None:
-    """target += factor * source, dropping entries that cancel to zero."""
-    for col, value in source.items():
-        total = target.get(col, _ZERO) + factor * value
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], col: int) -> dict[int, int]:
+    """A positive multiple of `row` minus one of `pivot_row` (whose `col`
+    entry is positive), zero in `col`; may mutate `row`."""
+    p, r = pivot_row[col], row[col]
+    g = math.gcd(p, r)
+    if p != g:
+        row = {c: v * (p // g) for c, v in row.items()}
+    factor = r // g
+    for c, v in pivot_row.items():
+        total = row.get(c, 0) - factor * v
         if total:
-            target[col] = total
+            row[c] = total
         else:
-            target.pop(col, None)
+            row.pop(c, None)
+    return row
+
+
+def _primitive(row: dict[int, int], lead: int) -> dict[int, int]:
+    """`row` divided by its content, signed so that `row[lead]` is positive."""
+    g = math.gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
 class EchelonBasis:
-    """Reduced echelon basis of sparse rational rows, grown one row at a time.
+    """Echelon basis of sparse exact rows, grown one row at a time over Z.
 
-    Stored rows always form the unique reduced echelon basis of the span so
-    far: each row has a leading 1 in its pivot column and zeros in every
-    other pivot column.  `add` returns True exactly when the row enlarged
-    the span, which doubles as an exact independence test.
+    `add` clears a row's denominators with one lcm and eliminates without
+    fractions.  Each stored row is primitive: integers with no common factor,
+    positive in its pivot column and zero in every other pivot column.  `add`
+    returns True exactly when the row enlarged the span, which doubles as an
+    exact independence test.
     """
 
     def __init__(self) -> None:
-        self._pivots: dict[int, SparseRow] = {}
+        self._pivots: dict[int, dict[int, int]] = {}
 
     @property
     def dimension(self) -> int:
         return len(self._pivots)
 
-    def reduce(self, row: SparseRow) -> SparseRow:
-        """Fully reduce a copy of `row` against the current basis.
+    def reduce(self, row: SparseRow) -> dict[int, int]:
+        """A positive integer multiple of `row`, fully reduced against the
+        current basis: empty exactly when `row` lies in the span.
 
         Pivot rows are zero in every other pivot column, so eliminating one
-        pivot column leaves the row's other pivot entries as they were: one
-        sweep over the pivot columns present in the row, in any order.
+        pivot column only rescales the row's other pivot entries: one sweep
+        over the pivot columns present in the row, in any order.
         """
-        row = dict(row)
-        for col in [c for c in row if c in self._pivots]:
-            _axpy(row, -row[col], self._pivots[col])
-        return row
+        q = math.lcm(*(v.denominator for v in row.values()))
+        reduced = {c: v.numerator * (q // v.denominator) for c, v in row.items()}
+        for col in [c for c in reduced if c in self._pivots]:
+            reduced = _eliminate(reduced, self._pivots[col], col)
+        return reduced
 
     def add(self, row: SparseRow) -> bool:
         reduced = self.reduce(row)
         if not reduced:
             return False
         lead = min(reduced)
-        inv = 1 / reduced[lead]
-        reduced = {c: v * inv for c, v in reduced.items()}
-        for pivot_row in self._pivots.values():
+        reduced = _primitive(reduced, lead)
+        for col, pivot_row in self._pivots.items():
             if lead in pivot_row:
-                _axpy(pivot_row, -pivot_row[lead], reduced)
+                self._pivots[col] = _primitive(_eliminate(pivot_row, reduced, lead), col)
         self._pivots[lead] = reduced
         return True
 
     def rows(self) -> list[SparseRow]:
-        return [dict(self._pivots[c]) for c in sorted(self._pivots)]
+        """The canonical reduced echelon basis, pivots 1, in pivot order."""
+        return [
+            {c: Fraction(v, row[col]) for c, v in row.items()}
+            for col, row in sorted(self._pivots.items())
+        ]
+
+    def primitive_rows(self) -> list[dict[int, int]]:
+        """The stored primitive integer rows, in pivot order: a basis of the
+        same span as `rows()`, for callers that need only the span."""
+        return [dict(row) for _, row in sorted(self._pivots.items())]
 
 
 def poly_to_row(poly: YZPolynomial, degree: int) -> SparseRow:
@@ -187,7 +213,7 @@ def subalgebra_span_dimension(generators, n: int) -> int:
         basis = _product_span(spans, k)
         for gen in by_degree.get(k, ()):
             basis.add(element_to_row(gen, k))
-        spans[k] = [row_to_element(r, d, k) for r in basis.rows()]
+        spans[k] = [row_to_element(r, d, k) for r in basis.primitive_rows()]
     return len(spans[n])
 
 
@@ -325,7 +351,7 @@ def coefficient_spans(
     for k in range(1, max_degree + 1):
         basis = EchelonBasis()
         add_products(basis, spans, by_degree, k)
-        spans[k] = [_row_to_poly(row, d, k) for row in basis.rows()]
+        spans[k] = [_row_to_poly(row, d, k) for row in basis.primitive_rows()]
     return spans
 
 

@@ -11,7 +11,6 @@ coefficient algebra generated by the e_k of both alphabets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 
 from .algebra_core import YZPolynomial, indicator
@@ -28,7 +27,7 @@ def _disjoint_products(d: int, p: int, q: int) -> YZPolynomial:
         alpha = indicator(d, i_set)
         remaining = [j for j in range(d) if j not in i_set]
         for j_set in combinations(remaining, q):
-            terms[(alpha, indicator(d, j_set))] = Fraction(1)
+            terms[(alpha, indicator(d, j_set))] = 1
     return YZPolynomial(d, terms)
 
 

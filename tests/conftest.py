@@ -74,6 +74,52 @@ def _fraction_char_coefficients(rows):
     return tuple(coeffs)
 
 
+def _fraction_axpy(target, factor, source):
+    """target += factor * source, dropping entries that cancel to zero."""
+    for col, value in source.items():
+        total = target.get(col, Fraction(0)) + factor * value
+        if total:
+            target[col] = total
+        else:
+            target.pop(col, None)
+
+
+class FractionEchelonBasis:
+    """Reduced echelon basis of sparse rows of `Fraction`s, pivots scaled to 1
+    after every step: the route that the fraction-free `EchelonBasis`
+    replaces, kept as its oracle.  Same `add`, `dimension` and `rows`."""
+
+    def __init__(self):
+        self._pivots = {}
+
+    @property
+    def dimension(self):
+        return len(self._pivots)
+
+    def add(self, row):
+        row = {c: Fraction(v) for c, v in row.items()}
+        for col in [c for c in row if c in self._pivots]:
+            _fraction_axpy(row, -row[col], self._pivots[col])
+        if not row:
+            return False
+        lead = min(row)
+        inv = 1 / row[lead]
+        row = {c: v * inv for c, v in row.items()}
+        for pivot_row in self._pivots.values():
+            if lead in pivot_row:
+                _fraction_axpy(pivot_row, -pivot_row[lead], row)
+        self._pivots[lead] = row
+        return True
+
+    def rows(self):
+        return [dict(self._pivots[c]) for c in sorted(self._pivots)]
+
+
+@pytest.fixture(scope="session")
+def fraction_echelon_basis():
+    return FractionEchelonBasis
+
+
 @pytest.fixture(scope="session")
 def fraction_closure():
     return _fraction_closure
@@ -120,6 +166,12 @@ def dihedral_d6():
     return group_closure(
         [RationalMatrix([[1, -1], [1, 0]]), permutation_matrix((1, 0))]
     )
+
+
+@pytest.fixture(scope="session")
+def b3_group():
+    """The signed permutations B_3, of order 48."""
+    return group_closure(adjacent_transpositions(3) + [diagonal_matrix([-1, 1, 1])])
 
 
 @pytest.fixture(scope="session")

@@ -77,6 +77,24 @@ class TestPolynomialArithmetic:
         assert p**0 == YZPolynomial.constant(1, 1)
 
 
+class TestCoefficientTypes:
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, False, "1"])
+    def test_constructors_take_only_ints_and_fractions(self, value):
+        with pytest.raises(TypeError):
+            YZPolynomial.constant(2, value)
+        with pytest.raises(TypeError):
+            YZPolynomial.monomial(2, (1, 0), (0, 1), value)
+        with pytest.raises(TypeError):
+            BicommElement.from_linear(2, [1, value])
+
+    def test_integral_data_stays_int(self):
+        p = YZPolynomial.monomial(2, (1, 0), (0, 1), 2) + YZPolynomial.constant(2, 3)
+        q = (p * p - YZPolynomial.variable(2, "y", 1)) * 5
+        assert all(type(c) is int for c in q.terms.values())
+        assert q * Fraction(1, 5) == p * p - YZPolynomial.variable(2, "y", 1)
+        assert all(type(c) is int for c in BicommElement.from_linear(2, [2, -1]).linear)
+
+
 class TestBicommProduct:
     def test_generator_product(self):
         x1 = BicommElement.generator(2, 1)

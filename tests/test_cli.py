@@ -286,8 +286,15 @@ class TestVerifyCommand:
     def test_mismatch_plain(self, capsys, series_without_trace_term):
         code, out, _ = run_main(capsys, "verify", "--d", "2", "--order", "3")
         assert code == EXIT_MISMATCH
-        assert any(line.startswith("FAIL  ") for line in out.splitlines())
+        lines = out.splitlines()
+        assert any(line.startswith("FAIL  ") for line in lines)
         assert "MISMATCH DETECTED" in out
+        # Without the tr(g) t term the series misses the linear invariants.
+        fail = lines.index("FAIL  symmetric S_2: bicommutative series matches Reynolds dimensions")
+        assert lines[fail + 1] == (
+            "      symmetric S_2, degree 1: series coefficient 0, brute-force dimension 1"
+        )
+        assert lines[fail + 2].startswith("PASS  symmetric S_2: classical series")
 
     def test_mismatch_structured(self, capsys, series_without_trace_term):
         code, out, _ = run_main(
@@ -298,6 +305,14 @@ class TestVerifyCommand:
         assert results["all_passed"] is False
         passed = {check["check"]: check["pass"] for check in results["checks"]}
         assert passed["trivial group series equals free-algebra series (d=2)"] is False
+        details = {check["check"]: check.get("detail") for check in results["checks"]}
+        assert details["symmetric S_2: bicommutative series matches Reynolds dimensions"] == {
+            "group": "symmetric S_2",
+            "degree": 1,
+            "series": "0",
+            "dimension": 1,
+        }
+        assert all("detail" not in check for check in results["checks"] if check["pass"])
 
 
 class TestArgumentHandling:

@@ -13,7 +13,6 @@ from bicomm import (
     dicks_formanek,
     dim_component,
     expand,
-    group_closure,
     hilbert_free_bicomm,
     invariant_dimension,
     molien_bicomm,
@@ -202,12 +201,6 @@ class TestClosedForms:
 
 
 B3_GENERATORS = adjacent_transpositions(3) + [diagonal_matrix([-1, 1, 1])]
-
-
-@pytest.fixture(scope="module")
-def b3_group():
-    """The signed permutations B_3, of order 48."""
-    return group_closure(B3_GENERATORS)
 
 
 class TestClassSums:

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import astuple
 from fractions import Fraction
@@ -9,6 +10,7 @@ from bicomm import (
     YZPolynomial,
     act,
     act_bulk,
+    basis_component,
     commutative_invariant_dimension,
     dim_component,
     elementary_symmetric,
@@ -19,11 +21,15 @@ from bicomm import (
     module_span_dimension,
     molien_bicomm,
     nonfg_witness,
+    permutation_matrix,
     polarized_elementary,
+    random_element,
+    reynolds,
     subalgebra_span_dimension,
+    symmetric_module_generators,
     trivial_group,
 )
-from bicomm.invariants import EchelonBasis, element_to_row, row_to_element
+from bicomm.invariants import EchelonBasis, coefficient_spans, element_to_row, row_to_element
 
 
 def rref(rows):
@@ -31,6 +37,36 @@ def rref(rows):
     for row in rows:
         basis.add(row)
     return basis.rows()
+
+
+def _random_rows(rng):
+    """Rows over at most 8 columns with int and Fraction entries, denominators
+    up to 9, then combinations and duplicates of them, shuffled."""
+    columns = rng.randint(1, 8)
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        row = {}
+        for c in rng.sample(range(columns), rng.randint(1, columns)):
+            value = rng.randint(-5, 5)
+            if rng.random() < 0.5:
+                value = Fraction(value, rng.randint(1, 9))
+            if value:
+                row[c] = value
+        if row:
+            rows.append(row)
+    if not rows:
+        rows.append({0: 1})
+    for _ in range(rng.randint(0, 3)):
+        a, b = rng.choice(rows), rng.choice(rows)
+        s = rng.choice((rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 9))))
+        t = rng.randint(-2, 2)
+        combination = {c: s * a.get(c, 0) + t * b.get(c, 0) for c in a.keys() | b.keys()}
+        combination = {c: v for c, v in combination.items() if v}
+        if combination:
+            rows.append(combination)
+    rows += [dict(rng.choice(rows)) for _ in range(rng.randint(0, 2))]
+    rng.shuffle(rows)
+    return rows
 
 
 def bulk(d, alpha, beta, coeff=1):
@@ -70,6 +106,22 @@ class TestEchelon:
             x = BicommElement.generator(d, i)
             assert element_to_row(x, 1) == {i - 1: 1}
             assert row_to_element({i - 1: Fraction(1)}, d, 1) == x
+
+    def test_matches_the_fraction_oracle(self, fraction_echelon_basis):
+        rng = random.Random(13)
+        for _ in range(200):
+            rows = _random_rows(rng)
+            basis, oracle = EchelonBasis(), fraction_echelon_basis()
+            assert [basis.add(row) for row in rows] == [oracle.add(row) for row in rows]
+            assert basis.dimension == oracle.dimension
+            reduced = basis.rows()
+            assert reduced == oracle.rows()
+            primitive = basis.primitive_rows()
+            for row, expected in zip(primitive, reduced):
+                assert all(type(v) is int for v in row.values())
+                assert math.gcd(*row.values()) == 1 and row[min(row)] > 0
+                assert {c: Fraction(v, row[min(row)]) for c, v in row.items()} == expected
+            assert len(primitive) == len(reduced)
 
     def test_add_reports_dependence(self):
         basis = EchelonBasis()
@@ -117,6 +169,47 @@ class TestInvariantBases:
             series = expand(molien_bicomm(group), 6)
             for n in range(1, 7):
                 assert series.coefficient(n) == invariant_dimension(group, n)
+
+
+    @pytest.mark.parametrize("group_name", ["dihedral_d6", "b3_group", "s3_conjugated"])
+    def test_matches_the_fraction_oracle(self, request, group_name, fraction_echelon_basis):
+        group = request.getfixturevalue(group_name)
+        d = group.rank
+        for n in range(1, 5):
+            oracle = fraction_echelon_basis()
+            for monomial in basis_component(d, n):
+                oracle.add(element_to_row(reynolds(group, monomial), n))
+            expected = tuple(row_to_element(r, d, n) for r in oracle.rows())
+            assert invariant_basis(group, n) == expected, n
+
+
+class TestIntegerCoefficients:
+    """Coefficients are exactly `int` or `Fraction`, and integral data stays `int`."""
+
+    @staticmethod
+    def assert_exact(polynomials):
+        for poly in polynomials:
+            assert all(type(c) in (int, Fraction) for c in poly.terms.values()), poly
+
+    def test_outputs_hold_only_ints_and_fractions(self, dihedral_d6, s3_conjugated):
+        for group in (dihedral_d6, s3_conjugated):
+            for n in (1, 2, 3):
+                self.assert_exact(element.lift for element in invariant_basis(group, n))
+        generators = [elementary_symmetric(a, 3, k) for a in ("y", "z") for k in (1, 2, 3)]
+        for span in coefficient_spans(generators, 4, 3).values():
+            self.assert_exact(span)
+        result = symmetric_module_generators(3, 6)
+        self.assert_exact(candidate.polynomial for candidate in result.generators)
+        rng = random.Random(5)
+        for group in (dihedral_d6, s3_conjugated):
+            element = random_element(rng, group.rank)
+            self.assert_exact([reynolds(group, element).lift])
+
+    def test_permutation_action_stays_integral(self):
+        monomial = YZPolynomial.monomial(3, (2, 0, 1), (0, 1, 0))
+        image = act_bulk(permutation_matrix((2, 0, 1)), monomial)
+        assert image.terms
+        assert all(type(c) is int for c in image.terms.values())
 
 
 class TestCommutativeOracle:
