@@ -266,39 +266,47 @@ def _exact_quotient(poly: Sequence[int], divisor: Sequence[int]) -> list[int] | 
 
 
 @lru_cache(maxsize=None)
-def _cyclotomic(n: int) -> tuple[int, ...]:
-    """Phi_n in descending powers: s^n - 1 over the Phi_k for k | n, k < n."""
+def cyclotomic(n: int) -> tuple[int, ...]:
+    """Phi_n in descending powers: s^n - 1 over the Phi_k for k | n, k < n.
+    Read in ascending powers it is Phi_n (palindromic) for n >= 2, 1 - t for n = 1."""
     poly = [1] + [0] * (n - 1) + [-1]
     for k in range(1, n):
         if n % k == 0:
-            poly = _exact_quotient(poly, _cyclotomic(k))
+            poly = _exact_quotient(poly, cyclotomic(k))
     return tuple(poly)
+
+
+def cyclotomic_factors(coeffs: Sequence[int | Fraction]) -> dict[int, int] | None:
+    """{n: e} with prod Phi_n^e the polynomial of descending coefficients
+    coeffs, such as det(s - g) from `char_coefficients`, or None when it is
+    no such product.  Phi_n has degree phi(n) <= d, which forces n <= 2 d^2.
+    """
+    if any(c.denominator != 1 for c in coeffs):
+        return None
+    poly = [int(c) for c in coeffs]
+    factors: dict[int, int] = {}
+    for n in range(1, 2 * (len(poly) - 1) ** 2 + 1):
+        if len(poly) == 1:
+            break
+        if _totient(n) >= len(poly):
+            continue
+        while (quotient := _exact_quotient(poly, cyclotomic(n))) is not None:
+            poly = quotient
+            factors[n] = factors.get(n, 0) + 1
+    return factors if len(poly) == 1 else None
 
 
 def _has_finite_order(g: RationalMatrix) -> bool:
     """Whether g^m = 1 for some m >= 1, decided exactly.
 
     The eigenvalues of a matrix of finite order are roots of unity, so
-    det(s - g) has integer coefficients and is a product of cyclotomic
-    polynomials Phi_n; a factor Phi_n has degree phi(n) <= d, which forces
-    n <= 2 d^2.  Then g has finite order exactly when g^m = 1 for m the lcm
-    of those n: its minimal polynomial must divide s^m - 1.
+    det(s - g) is a product of cyclotomic polynomials Phi_n.  Then g has
+    finite order exactly when g^m = 1 for m the lcm of those n: its minimal
+    polynomial must divide s^m - 1.
     """
-    coeffs = g.char_coefficients()
-    if any(c.denominator != 1 for c in coeffs):
-        return False
-    poly = [c.numerator for c in coeffs]
-    order = 1
-    for n in range(1, 2 * g.size**2 + 1):
-        if len(poly) == 1:
-            break
-        if _totient(n) >= len(poly):
-            continue
-        while (quotient := _exact_quotient(poly, _cyclotomic(n))) is not None:
-            poly = quotient
-            order = math.lcm(order, n)
+    factors = cyclotomic_factors(g.char_coefficients())
     identity = RationalMatrix.identity(g.size)
-    return len(poly) == 1 and power_by_squaring(g, order, identity) == identity
+    return factors is not None and power_by_squaring(g, math.lcm(*factors), identity) == identity
 
 
 def group_closure(

@@ -17,20 +17,24 @@ everything stays inside Q.  Each averaged term depends on g only through
 det(1 - g t), since tr(g) = -c_1, so the three group series are class sums:
 one term per distinct det(1 - g t), weighted by the number of elements that
 share it (Stanley, Bull. AMS 1, 1979).  `char_classes` finds the classes
-once per group.  Truncated Taylor expansion runs the linear recurrence
-dictated by the denominator.
+once per group.  For a finite group each det(1 - g t) is a product of
+1 - t and cyclotomic Phi_n (Derksen-Kemper, ch. 3), so a series is summed
+over Z on one common denominator read off those factors, with one gcd at
+the end.  Truncated Taylor expansion runs the linear recurrence dictated
+by the denominator.
 """
 
 from __future__ import annotations
 
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import zip_longest
+from typing import Sequence
 
 from .algebra_core import ExactArithmetic, format_terms, power_by_squaring
-from .group_action import FiniteGroup, RationalMatrix
+from .group_action import FiniteGroup, RationalMatrix, cyclotomic, cyclotomic_factors
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -269,31 +273,65 @@ def char_classes(group: FiniteGroup) -> tuple[tuple[UniPoly, int], ...]:
     return tuple(Counter(char_det(g) for g in group.elements).items())
 
 
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two integer polynomials in ascending powers."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _int_product(factors: Counter) -> list[int]:
+    """The product of the integer polynomials p^e over the entries p: e."""
+    return reduce(_int_mul, factors.elements(), [1])
+
+
 def _class_sum(group: FiniteGroup, term) -> RationalFunction:
     """(1/|G|) times the sum of term(det(1 - g t)) over the elements g, one
-    term per class of `char_classes`.  The canonical form of
-    `RationalFunction` makes the result independent of the summation order.
+    term per class of `char_classes`; ValueError names a det that is not a
+    product of cyclotomic factors, as no element of a finite group has one.
+
+    term(det, factors) gets a det's integer coefficients and its factors
+    {`cyclotomic(n)`: e}, and returns an integer numerator and a denominator
+    {p: e}, the product of the p^e for pairwise coprime integer p.  The
+    common denominator D takes each p to its largest e, so D over a class
+    denominator needs no division; the numerators are summed over Z, and the
+    one `RationalFunction` built at the end runs the only gcd.
     """
-    return reduce(
-        operator.add,
-        (term(det) * Fraction(count, group.order) for det, count in char_classes(group)),
+    terms = []
+    for det, count in char_classes(group):
+        factors = cyclotomic_factors(det.coeffs)
+        if factors is None:
+            raise ValueError(
+                f"not a finite group: det(1 - g t) = {det} is no product of cyclotomic factors"
+            )
+        coeffs = [int(det.coefficient(k)) for k in range(group.rank + 1)]
+        terms.append((count, *term(coeffs, {cyclotomic(n): e for n, e in factors.items()})))
+    common = Counter()
+    for _, _, den in terms:
+        common |= Counter(den)
+    total = [0]
+    for count, num, den in terms:
+        part = _int_mul(num, _int_product(common - Counter(den)))
+        total = [a + count * b for a, b in zip_longest(total, part, fillvalue=0)]
+    return RationalFunction(
+        UniPoly(tuple(total)) * Fraction(1, group.order), UniPoly(tuple(_int_product(common)))
     )
 
 
 def molien_classic(group: FiniteGroup) -> RationalFunction:
     """Average of 1/det(1 - g t): the series of the polynomial invariants."""
-    return _class_sum(group, lambda det: RationalFunction(UniPoly.one(), det))
+    return _class_sum(group, lambda det, factors: ([1], factors))
 
 
 def dicks_formanek(group: FiniteGroup) -> RationalFunction:
     """Average of 1/(1 - tr(g) t): the free-associative trace analogue.
 
     With det(1 - g t) = 1 + c_1 t + ..., tr(g) = -c_1, so 1 - tr(g) t is
-    1 + c_1 t.
+    1 + c_1 t; distinct ones are coprime.
     """
-    return _class_sum(
-        group, lambda det: RationalFunction(UniPoly.one(), UniPoly((_ONE, det.coefficient(1))))
-    )
+    return _class_sum(group, lambda det, factors: ([1], {(1, det[1]): 1}))
 
 
 def hilbert_free_bicomm(d: int) -> RationalFunction:
@@ -316,9 +354,11 @@ def molien_bicomm(group: FiniteGroup) -> RationalFunction:
     to `hilbert_free_bicomm`.
     """
 
-    def term(det: UniPoly) -> RationalFunction:
-        bulk = RationalFunction(UniPoly.one(), det) - RationalFunction.one()
-        trace = -det.coefficient(1)
-        return bulk * bulk + RationalFunction.from_poly(UniPoly((_ZERO, trace)))
+    def term(det: list[int], factors: dict[tuple[int, ...], int]):
+        # (1/det - 1)^2 + tr t = ((1 - det)^2 + tr t det^2) / det^2
+        bulk = [0] + [-c for c in det[1:]]
+        square, trace = _int_mul(bulk, bulk), [0] + _int_mul(det, det)
+        numerator = [a - det[1] * b for a, b in zip_longest(square, trace, fillvalue=0)]
+        return numerator, {p: 2 * e for p, e in factors.items()}
 
     return _class_sum(group, term)

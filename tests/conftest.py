@@ -17,19 +17,26 @@ from bicomm.group_action import adjacent_transpositions
 
 def _per_element_series(group):
     """molien_classic, dicks_formanek and molien_bicomm as averages of one
-    term per element, with tr(g) from the matrix: the route that the class
-    sums of `bicomm.hilbert` replace, kept as their oracle."""
+    `RationalFunction` term per element, with tr(g) from the matrix: the
+    route that the class sums of `bicomm.hilbert` replace, kept as their
+    oracle.  The terms are added pairwise, level by level, so most sums are
+    of small rational functions: B_4 takes about 5 s so, against 11 s summed
+    one term at a time (2 cores, Python 3.11.7)."""
     one = RationalFunction.one()
+
+    def average(term):
+        terms = [term(g) for g in group.elements]
+        while len(terms) > 1:
+            terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) & ~1 :]
+        return terms[0] * Fraction(1, group.order)
 
     def bulk(g):
         return RationalFunction(UniPoly.one(), char_det(g)) - one
 
     return (
-        group.average(lambda g: RationalFunction(UniPoly.one(), char_det(g))),
-        group.average(lambda g: RationalFunction(UniPoly.one(), UniPoly((1, -g.trace())))),
-        group.average(
-            lambda g: bulk(g) * bulk(g) + RationalFunction.from_poly(UniPoly((0, g.trace())))
-        ),
+        average(lambda g: RationalFunction(UniPoly.one(), char_det(g))),
+        average(lambda g: RationalFunction(UniPoly.one(), UniPoly((1, -g.trace())))),
+        average(lambda g: bulk(g) * bulk(g) + RationalFunction.from_poly(UniPoly((0, g.trace())))),
     )
 
 
@@ -175,21 +182,55 @@ def b3_group():
 
 
 @pytest.fixture(scope="session")
-def s3_conjugated_generators():
-    """The transpositions of S_3 conjugated by a fixed rational P; they have
-    entries +-1/3 and 2/3 (they generate the golden tests' S_3^P)."""
+def b4_group():
+    """The signed permutations B_4, of order 384: 14 classes, one with Phi_8."""
+    return group_closure(adjacent_transpositions(4) + [diagonal_matrix([-1, 1, 1, 1])])
+
+
+@pytest.fixture(scope="session")
+def a4_group():
+    """S_5 as the Weyl group of the root system A_4, of order 120: the simple
+    reflections in simple-root coordinates, integer but not monomial; its
+    5-cycles have a Phi_5."""
+    gens = []
+    for i in range(4):
+        rows = [[int(r == c) for c in range(4)] for r in range(4)]
+        rows[i][i] = -1
+        for j in (i - 1, i + 1):
+            if 0 <= j < 4:
+                rows[i][j] = 1
+        gens.append(RationalMatrix(rows))
+    return group_closure(gens)
+
+
+def _conjugated_by_p(gens):
+    """P g P^-1 for a fixed rational P: entries such as +-1/3 and 2/3."""
     p = RationalMatrix([[2, 1, 0], [0, 1, 1], [1, 0, 1]])
     third = Fraction(1, 3)
     p_inv = RationalMatrix(
         [[third, -third, third], [third, 2 * third, -2 * third], [-third, third, 2 * third]]
     )
     assert (p * p_inv).is_identity()
-    return [p * g * p_inv for g in adjacent_transpositions(3)]
+    return [p * g * p_inv for g in gens]
+
+
+@pytest.fixture(scope="session")
+def s3_conjugated_generators():
+    """The transpositions of S_3 conjugated by P; they have entries +-1/3 and
+    2/3 (they generate the golden tests' S_3^P)."""
+    return _conjugated_by_p(adjacent_transpositions(3))
 
 
 @pytest.fixture(scope="session")
 def s3_conjugated(s3_conjugated_generators):
     return group_closure(s3_conjugated_generators)
+
+
+@pytest.fixture(scope="session")
+def b3_conjugated():
+    """B_3 conjugated by P: rational entries, not monomial."""
+    signed = adjacent_transpositions(3) + [diagonal_matrix([-1, 1, 1])]
+    return group_closure(_conjugated_by_p(signed))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -22,7 +23,12 @@ from bicomm import (
 )
 from bicomm import hilbert
 from bicomm.cli import main
-from bicomm.group_action import adjacent_transpositions
+from bicomm.group_action import (
+    FiniteGroup,
+    adjacent_transpositions,
+    cyclotomic,
+    cyclotomic_factors,
+)
 from bicomm.hilbert import char_classes, poly_gcd
 
 ONE = UniPoly.one()
@@ -208,12 +214,69 @@ class TestClassSums:
     per-element averages they replace are the oracle."""
 
     def test_series_match_the_per_element_average(
-        self, catalogue, b3_group, dihedral_d6, s3_conjugated, per_element_series
+        self,
+        catalogue,
+        b3_group,
+        b4_group,
+        a4_group,
+        dihedral_d6,
+        s3_conjugated,
+        b3_conjugated,
+        per_element_series,
     ):
-        groups = catalogue + [("B_3", b3_group), ("D_6", dihedral_d6), ("S_3^P", s3_conjugated)]
+        entries = [v for g in b3_conjugated.elements for row in g.entries for v in row]
+        assert any(v.denominator == 3 for v in entries)
+        groups = catalogue + [
+            ("B_3", b3_group),
+            ("B_4", b4_group),
+            ("A_4", a4_group),
+            ("D_6", dihedral_d6),
+            ("S_3^P", s3_conjugated),
+            ("B_3^P", b3_conjugated),
+        ]
         for name, group in groups:
             series = (molien_classic(group), dicks_formanek(group), molien_bicomm(group))
             assert series == per_element_series(group), name
+
+    def test_cyclotomic_factors_rebuild_each_class_det(self, b4_group, a4_group):
+        seen = set()
+        for group, classes in ((b4_group, 14), (a4_group, 7)):
+            assert len(char_classes(group)) == classes
+            for det, _ in char_classes(group):
+                factors = cyclotomic_factors(det.coeffs)
+                rebuilt = ONE
+                for n, e in factors.items():
+                    rebuilt = rebuilt * UniPoly(cyclotomic(n)) ** e
+                assert rebuilt == det
+                seen.update(factors)
+        assert {1, 2, 3, 4, 5, 6, 8} <= seen
+
+    def test_one_gcd_per_series_and_no_rational_function_sums(self, monkeypatch, b4_group):
+        calls = []
+
+        def counted_gcd(a, b):
+            calls.append("gcd")
+            return poly_gcd(a, b)
+
+        def counted_add(self, other):
+            calls.append("add")
+            return add(self, other)
+
+        add = RationalFunction.__add__
+        monkeypatch.setattr(hilbert, "poly_gcd", counted_gcd)
+        monkeypatch.setattr(RationalFunction, "__add__", counted_add)
+        for series in (molien_classic, dicks_formanek, molien_bicomm):
+            calls.clear()
+            series(b4_group)
+            assert calls == ["gcd"], series.__name__
+
+    @pytest.mark.parametrize("value", [2, Fraction(1, 2)], ids=["diag(2)", "diag(1/2)"])
+    @pytest.mark.parametrize("series", [molien_classic, dicks_formanek, molien_bicomm])
+    def test_a_non_group_fails_loudly(self, series, value):
+        g = diagonal_matrix([value])
+        not_a_group = FiniteGroup(1, (RationalMatrix.identity(1), g))
+        with pytest.raises(ValueError, match=re.escape(f"det(1 - g t) = {char_det(g)} is no")):
+            series(not_a_group)
 
     def test_classes_partition_the_group(self, b3_group):
         classes = char_classes(b3_group)
