@@ -53,9 +53,7 @@ from .invariants import (
     integral_dependence_polynomial,
     invariant_basis,
     invariant_dimension,
-    module_span_dimension,
     nonfg_witness,
-    subalgebra_span_dimension,
 )
 from .symmetric import (
     D2IdentityReport,
@@ -102,7 +100,6 @@ __all__ = [
     "invariant_basis",
     "invariant_dimension",
     "load_group",
-    "module_span_dimension",
     "molien_bicomm",
     "molien_classic",
     "nonfg_witness",
@@ -112,7 +109,6 @@ __all__ = [
     "random_element",
     "read_group_file",
     "reynolds",
-    "subalgebra_span_dimension",
     "symmetric_group",
     "symmetric_module_generators",
     "trivial_group",

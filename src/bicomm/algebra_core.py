@@ -23,7 +23,8 @@ degree n >= 2 by the monomials Y^a Z^b with |a| >= 1, |b| >= 1, |a|+|b| = n.
 An element is stored as one polynomial of K[Y, Z], its lift: x_i becomes
 z_i and the bulk is kept as it is.  The group acts on the y_j and z_j as on
 the x_j, so the lift turns sums, coordinates and group averages into those
-of polynomials; only the product needs the x_i back, as y_i on the left.
+of polynomials; only the product needs the x_i back, as y_i on the left
+(`left_factor`).
 """
 
 from __future__ import annotations
@@ -278,6 +279,12 @@ class YZPolynomial(ExactArithmetic):
         return f"YZPolynomial(d={self.rank}: {self})"
 
 
+def left_factor(lift: YZPolynomial) -> YZPolynomial:
+    """A lift as the left factor of a product: each generator z_i becomes y_i."""
+    terms = {(a, b) if any(a) else (b, a): c for (a, b), c in lift.terms.items()}
+    return YZPolynomial(lift.rank, terms)
+
+
 def _in_model(key: TermKey) -> bool:
     """Whether a lift key is a monomial of the model: a generator z_i, or a
     bulk monomial with at least one y and one z factor."""
@@ -355,11 +362,7 @@ class BicommElement(ExactArithmetic):
         lies in the bulk.
         """
         if isinstance(other, BicommElement):
-            left = {
-                (alpha, beta) if any(alpha) else (beta, alpha): coeff
-                for (alpha, beta), coeff in self.lift.terms.items()
-            }
-            return BicommElement(self.rank, YZPolynomial(self.rank, left) * other.lift)
+            return BicommElement(self.rank, left_factor(self.lift) * other.lift)
         if isinstance(other, (int, Fraction)):
             return BicommElement(self.rank, self.lift * other)
         return NotImplemented

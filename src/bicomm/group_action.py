@@ -6,9 +6,10 @@ the action is by algebra automorphisms.  Groups are materialized as explicit
 element lists, closed under multiplication by breadth-first search from the
 identity.  A matrix is kept as integer numerators over one common
 denominator, so the closure's products and det(1 - g t) run on integers.
-Before any closure step, each generator must pass an exact finite-order
-test; an infinite group whose generators all have finite order still stops
-at B(d), the largest order of a finite subgroup of GL_d(Q), or at the cap.
+Each generator must pass an exact finite-order test, and so must the 4
+newest elements at 256, 512, ... elements (Schur: an infinite group has an
+element of infinite order); B(d), the largest order of a finite subgroup of
+GL_d(Q), and the cap are the backstop.
 The Reynolds operator is the plain group average, taken over the
 polynomial lift of an element (see `algebra_core`), with which it commutes.
 
@@ -173,9 +174,6 @@ class RationalMatrix:
         c_d = self.char_coefficients()[-1]
         return -c_d if self.size % 2 else c_d
 
-    def is_identity(self) -> bool:
-        return self == RationalMatrix.identity(self.size)
-
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(str(v) for v in row) for row in self.entries) + "]"
 
@@ -320,8 +318,9 @@ def group_closure(
     discovery order and each element is multiplied on the right by the
     generators in their given order.  Raises `SingularMatrixError` for a
     non-invertible generator, and `CapExceededError` before any closure step
-    for a generator of infinite order, or once the closure grows past `cap`
-    or past `max_finite_order(rank)`, which only an infinite group can do.
+    for a generator of infinite order, at 256, 512, ... elements if one of
+    the 4 newest has infinite order, or once the closure grows past `cap` or
+    past `max_finite_order(rank)`, which only an infinite group can do.
     """
     gens = list(generators)
     if rank is None:
@@ -338,14 +337,19 @@ def group_closure(
     beyond_cap = (
         f"cap of {limit} elements (no finite subgroup of GL_{rank}(Q) has more than {bound})"
     )
-    for g in gens:
-        if not _has_finite_order(g):
-            raise CapExceededError(
-                f"generator {g} has infinite order, so its group would exceed the {beyond_cap}"
-            )
+
+    def require_finite_order(candidates, what):
+        for g in candidates:
+            if not _has_finite_order(g):
+                raise CapExceededError(
+                    f"{what} {g} has infinite order, so its group would exceed the {beyond_cap}"
+                )
+
+    require_finite_order(gens, "generator")
     identity = RationalMatrix.identity(rank)
     elements = [identity]
     seen = {identity}
+    checkpoint = 256
     i = 0
     while i < len(elements):
         current = elements[i]
@@ -357,6 +361,10 @@ def group_closure(
                     raise CapExceededError(f"group closure exceeded {beyond_cap}")
                 seen.add(nxt)
                 elements.append(nxt)
+                if len(elements) == checkpoint:
+                    # Schur: an infinite group has an element of infinite order.
+                    require_finite_order(elements[-4:], "element")
+                    checkpoint *= 2
     return FiniteGroup(rank, tuple(elements))
 
 

@@ -2,12 +2,14 @@
 
 Everything here reduces to one primitive: an incrementally maintained
 echelon basis of sparse integer rows.  Reynolds images of the monomial
-basis give invariant bases; iterated products of lower-degree spans give
-subalgebra components; coefficient-algebra products applied to module
-generators give module spans.  All ranks are exact, columns are indexed by
-the canonical monomial order, and output bases have pivots scaled to 1, so
-every output is canonical and reproducible.  Coefficients are `int` or
-`Fraction`; they compare, hash and print alike.
+basis give invariant bases.  One routine, `add_products`, forms every
+product span: lower invariants times new generators give the spans that
+`nonfg_witness` compares with the invariants, and coefficient-algebra
+products applied to module generators give module spans.  All ranks are
+exact, columns are indexed by the canonical monomial order, and output
+bases have pivots scaled to 1, so every output is canonical and
+reproducible.  Coefficients are `int` or `Fraction`; they compare, hash and
+print alike.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .algebra_core import (
     YZPolynomial,
     basis_component,
     compositions,
+    left_factor,
     monomial_table,
 )
 from .group_action import FiniteGroup, act_bulk, reynolds
@@ -184,39 +187,6 @@ def _by_degree(items, what: str) -> dict[int, list]:
     return by_degree
 
 
-def _product_span(spans: dict[int, list[BicommElement]], n: int) -> EchelonBasis:
-    """The span of every ordered product u * v, u in spans[a], v in spans[n - a].
-
-    Given the lower components of a subalgebra, this plus its degree-n
-    generators is its degree-n component: longer products factor through
-    such a pair.  Order matters: left and right factors play different roles.
-    """
-    basis = EchelonBasis()
-    for a in range(1, n):
-        for u in spans[a]:
-            for v in spans[n - a]:
-                basis.add(element_to_row(u * v, n))
-    return basis
-
-
-def subalgebra_span_dimension(generators, n: int) -> int:
-    """Dimension of the degree-n component of the generated (non-unital) subalgebra."""
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    generators = list(generators)
-    if not generators:
-        return 0
-    d = generators[0].rank
-    by_degree = _by_degree(generators, "generator")
-    spans: dict[int, list[BicommElement]] = {}
-    for k in range(1, n + 1):
-        basis = _product_span(spans, k)
-        for gen in by_degree.get(k, ()):
-            basis.add(element_to_row(gen, k))
-        spans[k] = [row_to_element(r, d, k) for r in basis.primitive_rows()]
-    return len(spans[n])
-
-
 @dataclass(frozen=True)
 class CutoffGap:
     """First degree at which invariants outgrow the subalgebra they generate."""
@@ -237,22 +207,35 @@ def nonfg_witness(
     Below its gap S_c is all invariants, so its degree-n component for n > c
     is P(n), the span of products of lower invariants, for every c.  One
     comparison of dim P(n) with dim Inv(n) per degree serves all cutoffs,
-    and bases are built only up to the last degree the report reads.  The
-    oracle is `subalgebra_span_dimension`.  A finite check, not a proof.
+    and bases are built only up to the last degree the report reads.
+
+    Let N(a) be the rows of Inv(a) that grow P(a).  Left- and right-
+    commutativity move a generator to the top of any product, so P(n) is
+    spanned by g.w and w.g for g in N(a), w in Inv(n - a).  On lifts these
+    are left_factor(g) * w and left_factor(w) * g: two `add_products` calls.
+    The tests compare the gaps with an all-pairs product span.  A finite
+    check, not a proof.
     """
     if not (search_bound > cutoff_bound >= 1):
         raise ValueError("need search_bound > cutoff_bound >= 1")
-    spans = {1: list(invariant_basis(group, 1))}
+    # Lifts of Inv(a) and N(a), and their left factors, by degree a.
+    invariants, left_invariants, new, left_new = {}, {}, {}, {}
     entries: list[CutoffGap] = []
-    for n in range(2, search_bound + 1):
+    for n in range(1, search_bound + 1):
         if len(entries) == cutoff_bound:
             break
-        products = _product_span(spans, n).dimension
-        spans[n] = list(invariant_basis(group, n))
-        if products < len(spans[n]):
+        basis = EchelonBasis()
+        add_products(basis, left_invariants, new, n)
+        add_products(basis, invariants, left_new, n)
+        products = basis.dimension
+        invariants[n] = [element.lift for element in invariant_basis(group, n)]
+        left_invariants[n] = [left_factor(lift) for lift in invariants[n]]
+        new[n] = [lift for lift in invariants[n] if basis.add(poly_to_row(lift, n))]
+        left_new[n] = [left_factor(lift) for lift in new[n]]
+        if products < len(invariants[n]):
             # The gap of every cutoff below n that has none yet.
             for cutoff in range(len(entries) + 1, min(n, cutoff_bound + 1)):
-                entries.append(CutoffGap(cutoff, n, products, len(spans[n])))
+                entries.append(CutoffGap(cutoff, n, products, len(invariants[n])))
     for cutoff in range(len(entries) + 1, cutoff_bound + 1):
         entries.append(CutoffGap(cutoff, None, None, None))
     return tuple(entries)
@@ -353,26 +336,3 @@ def coefficient_spans(
         add_products(basis, spans, by_degree, k)
         spans[k] = [_row_to_poly(row, d, k) for row in basis.primitive_rows()]
     return spans
-
-
-def module_span_dimension(coefficient_generators, module_generators, n: int) -> int:
-    """Dimension of the degree-n span of coefficient products times module generators.
-
-    The empty coefficient product acts as the scalar 1, so module generators
-    of degree exactly n contribute directly.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    coefficient_generators = list(coefficient_generators)
-    module_generators = list(module_generators)
-    ranks = {p.rank for p in coefficient_generators + module_generators}
-    if len(ranks) != 1:
-        raise ValueError("generators must all share one rank")
-    d = ranks.pop()
-    module_by_degree = _by_degree(module_generators, "module generator")
-    if not module_by_degree:
-        return 0
-    spans = coefficient_spans(coefficient_generators, n - min(module_by_degree), d)
-    basis = EchelonBasis()
-    add_products(basis, spans, module_by_degree, n)
-    return basis.dimension

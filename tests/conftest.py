@@ -11,8 +11,78 @@ from bicomm import (
     group_closure,
     permutation_matrix,
     symmetric_group,
+    trivial_group,
 )
+from bicomm.algebra_core import BicommElement
 from bicomm.group_action import adjacent_transpositions
+from bicomm.invariants import (
+    EchelonBasis,
+    _by_degree,
+    add_products,
+    coefficient_spans,
+    element_to_row,
+    row_to_element,
+)
+
+
+def is_identity(matrix):
+    return matrix == RationalMatrix.identity(matrix.size)
+
+
+def _product_span(spans: dict[int, list[BicommElement]], n: int) -> EchelonBasis:
+    """The span of every ordered product u * v, u in spans[a], v in spans[n - a].
+
+    Given the lower components of a subalgebra, this plus its degree-n
+    generators is its degree-n component: longer products factor through
+    such a pair.  Order matters: left and right factors play different roles.
+    """
+    basis = EchelonBasis()
+    for a in range(1, n):
+        for u in spans[a]:
+            for v in spans[n - a]:
+                basis.add(element_to_row(u * v, n))
+    return basis
+
+
+def subalgebra_span_dimension(generators, n: int) -> int:
+    """Dimension of the degree-n component of the generated (non-unital) subalgebra."""
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    generators = list(generators)
+    if not generators:
+        return 0
+    d = generators[0].rank
+    by_degree = _by_degree(generators, "generator")
+    spans: dict[int, list[BicommElement]] = {}
+    for k in range(1, n + 1):
+        basis = _product_span(spans, k)
+        for gen in by_degree.get(k, ()):
+            basis.add(element_to_row(gen, k))
+        spans[k] = [row_to_element(r, d, k) for r in basis.primitive_rows()]
+    return len(spans[n])
+
+
+def module_span_dimension(coefficient_generators, module_generators, n: int) -> int:
+    """Dimension of the degree-n span of coefficient products times module generators.
+
+    The empty coefficient product acts as the scalar 1, so module generators
+    of degree exactly n contribute directly.
+    """
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    coefficient_generators = list(coefficient_generators)
+    module_generators = list(module_generators)
+    ranks = {p.rank for p in coefficient_generators + module_generators}
+    if len(ranks) != 1:
+        raise ValueError("generators must all share one rank")
+    d = ranks.pop()
+    module_by_degree = _by_degree(module_generators, "module generator")
+    if not module_by_degree:
+        return 0
+    spans = coefficient_spans(coefficient_generators, n - min(module_by_degree), d)
+    basis = EchelonBasis()
+    add_products(basis, spans, module_by_degree, n)
+    return basis.dimension
 
 
 def _per_element_series(group):
@@ -138,6 +208,16 @@ def fraction_char_coefficients():
 
 
 @pytest.fixture(scope="session")
+def trivial_d1():
+    return trivial_group(1)
+
+
+@pytest.fixture(scope="session")
+def trivial_d2():
+    return trivial_group(2)
+
+
+@pytest.fixture(scope="session")
 def swap_group():
     return group_closure([permutation_matrix((1, 0))])
 
@@ -210,7 +290,7 @@ def _conjugated_by_p(gens):
     p_inv = RationalMatrix(
         [[third, -third, third], [third, 2 * third, -2 * third], [-third, third, 2 * third]]
     )
-    assert (p * p_inv).is_identity()
+    assert is_identity(p * p_inv)
     return [p * g * p_inv for g in gens]
 
 

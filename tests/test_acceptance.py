@@ -24,19 +24,18 @@ from bicomm import (
     integral_dependence_polynomial,
     invariant_basis,
     invariant_dimension,
-    module_span_dimension,
     molien_bicomm,
     molien_classic,
     nonfg_witness,
     polarized_elementary,
     random_element,
     reynolds,
-    subalgebra_span_dimension,
     symmetric_module_generators,
     trivial_group,
     verify_d2_identity,
 )
 from bicomm.invariants import EchelonBasis, element_to_row
+from conftest import module_span_dimension, subalgebra_span_dimension
 
 ORDER = 10
 

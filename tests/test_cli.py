@@ -49,6 +49,15 @@ def child_env():
     return dict(os.environ, PYTHONPATH=str(Path(bicomm.__file__).resolve().parents[1]))
 
 
+def block_plus_identity(d, block):
+    """The rows of a d x d group-file matrix: `block` in the top left corner,
+    the identity elsewhere."""
+    rows = [["1" if i == j else "0" for j in range(d)] for i in range(d)]
+    for i, row in enumerate(block):
+        rows[i][: len(row)] = row
+    return rows
+
+
 def run_main(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -120,11 +129,8 @@ class TestHilbertCommand:
     def test_infinite_generator_exits_within_a_second(self, tmp_path, d, block):
         # block + I: at rank 6 and above, B(d) exceeds the default cap, and
         # closing such a group up to the cap would run for minutes.
-        rows = [["1" if i == j else "0" for j in range(d)] for i in range(d)]
-        for i, row in enumerate(block):
-            rows[i][: len(row)] = row
         path = tmp_path / "infinite.group"
-        path.write_text(json.dumps({"d": d, "generators": [rows]}))
+        path.write_text(json.dumps({"d": d, "generators": [block_plus_identity(d, block)]}))
         result = subprocess.run(
             [sys.executable, "-m", "bicomm", "hilbert", "--group", str(path)],
             capture_output=True,
@@ -135,6 +141,31 @@ class TestHilbertCommand:
         assert result.returncode == EXIT_CAP
         assert result.stdout == ""
         assert "infinite order" in result.stderr and "cap of 100000 elements" in result.stderr
+
+    @pytest.mark.parametrize("d", [2, 6, 16])
+    def test_infinite_group_of_finite_order_generators_exits_within_a_second(
+        self, tmp_path, d
+    ):
+        # The infinite dihedral group <diag(-1, 1), [[1, 0], [2, -1]]> + I:
+        # both generators have order 2, their product infinite order.  From
+        # d = 6 on, B(d) exceeds the default cap; the closure finds an
+        # element of infinite order among its first 256 elements.
+        path = tmp_path / "dihedral.group"
+        blocks = [[["-1", "0"], ["0", "1"]], [["1", "0"], ["2", "-1"]]]
+        gens = [block_plus_identity(d, block) for block in blocks]
+        path.write_text(json.dumps({"d": d, "generators": gens}))
+        result = subprocess.run(
+            [sys.executable, "-m", "bicomm", "hilbert", "--group", str(path), "--order", "2"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=1,
+        )
+        assert result.returncode == EXIT_CAP
+        assert result.stdout == ""
+        assert "cap of" in result.stderr
+        if d >= 6:
+            assert "infinite order" in result.stderr
 
     def test_missing_group_file(self, capsys, tmp_path):
         code, _, err = run_main(capsys, "hilbert", "--group", str(tmp_path / "nope"))

@@ -18,18 +18,17 @@ from bicomm import (
     integral_dependence_polynomial,
     invariant_basis,
     invariant_dimension,
-    module_span_dimension,
     molien_bicomm,
     nonfg_witness,
     permutation_matrix,
     polarized_elementary,
     random_element,
     reynolds,
-    subalgebra_span_dimension,
     symmetric_module_generators,
     trivial_group,
 )
 from bicomm.invariants import EchelonBasis, coefficient_spans, element_to_row, row_to_element
+from conftest import module_span_dimension, subalgebra_span_dimension
 
 
 def rref(rows):
@@ -255,7 +254,11 @@ class TestSubalgebraSpans:
 
 # Groups for the subalgebra scan, each with a degree bound that keeps the
 # oracle cheap; D_6 and S_3^P are not monomial, S_3^P has entries 1/3, 2/3.
+# The trivial groups have no gap, so every degree up to the bound is compared.
 SCAN_BOUNDS = [
+    ("trivial_d1", 14),
+    ("trivial_d2", 7),
+    ("negation_d2", 6),
     ("swap_group", 6),
     ("rotation_c4", 6),
     ("signed_permutations_d2", 6),
@@ -318,6 +321,20 @@ class TestNonFgWitness:
         assert gaps[-1].gap_degree == 4
         assert sorted(requested) == sorted(set(requested))
         assert max(requested) <= 4
+
+    def test_product_rows_come_from_new_generators_only(self, monkeypatch):
+        # Products with the all-pairs span took 93,654 rows here; a new
+        # generator times a lower invariant takes about 3,000.
+        calls = []
+        add = EchelonBasis.add
+
+        def counting(basis, row):
+            calls.append(None)
+            return add(basis, row)
+
+        monkeypatch.setattr(EchelonBasis, "add", counting)
+        nonfg_witness(trivial_group(1), 1, 40)
+        assert len(calls) <= 4000
 
     def test_bad_bounds_rejected(self, swap_group):
         with pytest.raises(ValueError):

@@ -55,6 +55,7 @@ from bicomm import (
 )
 from bicomm.group_action import adjacent_transpositions
 from bicomm.invariants import EchelonBasis, element_to_row
+from conftest import is_identity
 
 _THIRD = Fraction(1, 3)
 
@@ -90,7 +91,7 @@ CONJUGATORS = {
 
 def conjugate(gens: list[RationalMatrix]) -> list[RationalMatrix]:
     p, p_inv = CONJUGATORS[gens[0].size]
-    assert (p * p_inv).is_identity()
+    assert is_identity(p * p_inv)
     return [p_inv * g * p for g in gens]
 
 
@@ -144,7 +145,7 @@ IDS = [name for name, _ in GENERATED]
 def inverse(g: RationalMatrix) -> RationalMatrix:
     """g^-1 = g^(k-1), where k is the (finite) order of g."""
     power = g
-    while not (power * g).is_identity():
+    while not is_identity(power * g):
         power = power * g
     return power
 
