@@ -450,7 +450,7 @@ def random_element(rng: Random, d: int) -> BicommElement:
 
     Used by the identity checks: exact equalities over random inputs.
     """
-    linear = tuple(Fraction(rng.randint(-2, 2)) for _ in range(d))
+    linear = tuple(rng.randint(-2, 2) for _ in range(d))
     terms: dict[TermKey, Fraction] = {}
     for _ in range(rng.randint(0, 3)):
         n = rng.randint(2, 4)

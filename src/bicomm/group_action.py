@@ -57,12 +57,13 @@ class RationalMatrix:
     The matrix is kept in one canonical integer form: its entries, row by
     row, as integer numerators over one positive common denominator, with no
     factor common to all of them.  Equality and hashing read that form, and
-    a product is one integer product, reduced once.  `entries`, the rows of
-    values, is derived from it on first access and kept: `int`s when the
-    common denominator is 1, `Fraction`s otherwise.
+    a product is one integer product, reduced once.  Two caches are derived
+    from it on first access and kept with the matrix: `entries`, the rows of
+    values (`int`s when the common denominator is 1, `Fraction`s otherwise),
+    and the powers of its columns as linear forms, which `act_bulk` reads.
     """
 
-    __slots__ = ("size", "_numerators", "_denominator", "_hash", "_entries")
+    __slots__ = ("size", "_numerators", "_denominator", "_hash", "_entries", "_powers")
 
     def __init__(self, entries) -> None:
         rows = [[Fraction(v) for v in row] for row in entries]
@@ -81,6 +82,7 @@ class RationalMatrix:
         set_slot(self, "_denominator", denominator)
         set_slot(self, "_hash", hash((numerators, denominator)))
         set_slot(self, "_entries", None)
+        set_slot(self, "_powers", None)
 
     @classmethod
     def _reduced(cls, d: int, numerators: list[int], denominator: int) -> "RationalMatrix":
@@ -104,6 +106,18 @@ class RationalMatrix:
             rows = tuple(tuple(values[i : i + d]) for i in range(0, d * d, d))
             object.__setattr__(self, "_entries", rows)
         return self._entries
+
+    def _column_power(self, alphabet: str, j: int, e: int) -> YZPolynomial:
+        """l^e for l = sum_i self[i][j] y_i (alphabet "y"), or the same in z;
+        built as l^(e-1) l and kept, so each power is expanded once."""
+        if self._powers is None:
+            object.__setattr__(self, "_powers", {})
+        powers = self._powers.setdefault((alphabet, j), [])
+        if not powers:
+            powers.append(YZPolynomial.linear(alphabet, [row[j] for row in self.entries]))
+        while len(powers) < e:
+            powers.append(powers[-1] * powers[0])
+        return powers[e - 1]
 
     def _rows(self) -> list[tuple[int, ...]]:
         d, a = self.size, self._numerators
@@ -212,6 +226,8 @@ class FiniteGroup:
     def average(self, term):
         """(1/|G|) times the sum of term(g) over the elements g.
 
+        The values are summed as they come, and `term` may record them, as
+        `invariants` does to skip monomials whose average it already knows.
         The identity is always an element, so the sum needs no zero of the
         result type to start from.
         """
@@ -397,19 +413,19 @@ def act_linear(g: RationalMatrix, coeffs: Sequence[int | Fraction]) -> tuple[int
 def act_bulk(g: RationalMatrix, poly: YZPolynomial) -> YZPolynomial:
     """Simultaneous substitution y_j -> sum_i g[i][j] y_i, z_j likewise.
 
-    Exact expansion; preserves the bidegree of homogeneous inputs.
+    Exact expansion; preserves the bidegree of homogeneous inputs.  The
+    powers of the columns come from `g._column_power`, once per matrix.
     """
     d = poly.rank
     if g.size != d:
         raise ValueError("rank mismatch between matrix and polynomial")
-    columns = tuple(zip(*g.entries))
     total = YZPolynomial.zero(d)
     for (alpha, beta), coeff in poly.terms.items():
         term = YZPolynomial.constant(d, coeff)
         for alphabet, exponents in (("y", alpha), ("z", beta)):
             for j, e in enumerate(exponents):
                 if e:
-                    term = term * YZPolynomial.linear(alphabet, columns[j]) ** e
+                    term = term * g._column_power(alphabet, j, e)
         total = total + term
     return total
 

@@ -18,6 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .algebra_core import (
     BicommElement,
@@ -27,7 +28,7 @@ from .algebra_core import (
     left_factor,
     monomial_table,
 )
-from .group_action import FiniteGroup, act_bulk, reynolds
+from .group_action import FiniteGroup, act_bulk
 
 SparseRow = dict[int, int | Fraction]
 
@@ -134,18 +135,40 @@ def row_to_element(row: SparseRow, d: int, degree: int) -> BicommElement:
     return BicommElement(d, _row_to_poly(row, d, degree))
 
 
+def _orbit_averages(group: FiniteGroup, monomials: Iterable[YZPolynomial]):
+    """The group averages R(m) of the monomials m, less those already known.
+
+    If g m = c m' for a monomial m', then R(m') = R(m) / c, as R(g m) = R(m):
+    the images of m mark each monomial m' they reach as one term, and a
+    marked monomial is skipped, since its average adds nothing to the span.
+    For a monomial group that leaves one average per orbit.
+    """
+    covered = set()
+
+    def image(g, monomial):
+        result = act_bulk(g, monomial)
+        if len(result.terms) == 1:
+            covered.update(result.terms)
+        return result
+
+    for monomial in monomials:
+        if not covered.issuperset(monomial.terms):
+            yield group.average(lambda g: image(g, monomial))
+
+
 def invariant_basis(group: FiniteGroup, n: int) -> tuple[BicommElement, ...]:
     """Echelonized basis of the G-invariants in degree n.
 
     Computed as the row space of the Reynolds images of the canonical
-    monomial basis, reduced with pivots scaled to 1.
+    monomial basis, less those `_orbit_averages` already knows, reduced with
+    pivots scaled to 1.
     """
     if n < 1:
         raise ValueError("invariants live in degrees >= 1")
     d = group.rank
     basis = EchelonBasis()
-    for monomial in basis_component(d, n):
-        basis.add(element_to_row(reynolds(group, monomial), n))
+    for average in _orbit_averages(group, (m.lift for m in basis_component(d, n))):
+        basis.add(element_to_row(BicommElement(d, average), n))
     return tuple(row_to_element(r, d, n) for r in basis.rows())
 
 
@@ -156,18 +179,18 @@ def invariant_dimension(group: FiniteGroup, n: int) -> int:
 def commutative_invariant_dimension(group: FiniteGroup, n: int) -> int:
     """Brute-force dimension of the degree-n G-invariants of K[x_1..x_d].
 
-    Averages each commutative monomial over the group and row-reduces; this
-    is the oracle the det-based closed formula is checked against, and it
-    never touches determinants.
+    Averages the commutative monomials over the group through the same
+    `_orbit_averages` and row-reduces; this is the oracle the det-based
+    closed formula is checked against, and it never touches determinants.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     d = group.rank
     zeros = (0,) * d
     basis = EchelonBasis()
-    for alpha in compositions(n, d):
-        monomial = YZPolynomial.monomial(d, alpha, zeros)
-        basis.add(poly_to_row(group.average(lambda g: act_bulk(g, monomial)), n))
+    monomials = (YZPolynomial.monomial(d, alpha, zeros) for alpha in compositions(n, d))
+    for average in _orbit_averages(group, monomials):
+        basis.add(poly_to_row(average, n))
     return basis.dimension
 
 

@@ -13,8 +13,8 @@ from bicomm import (
     symmetric_group,
     trivial_group,
 )
-from bicomm.algebra_core import BicommElement
-from bicomm.group_action import adjacent_transpositions
+from bicomm.algebra_core import BicommElement, basis_component
+from bicomm.group_action import adjacent_transpositions, reynolds
 from bicomm.invariants import (
     EchelonBasis,
     _by_degree,
@@ -83,6 +83,22 @@ def module_span_dimension(coefficient_generators, module_generators, n: int) -> 
     basis = EchelonBasis()
     add_products(basis, spans, module_by_degree, n)
     return basis.dimension
+
+
+def _all_monomials_invariant_basis(group, n):
+    """The Reynolds image of every monomial of the degree-n basis, reduced:
+    the route that `invariant_basis`, which averages one monomial per orbit,
+    replaces, kept as its oracle."""
+    d = group.rank
+    basis = EchelonBasis()
+    for monomial in basis_component(d, n):
+        basis.add(element_to_row(reynolds(group, monomial), n))
+    return tuple(row_to_element(r, d, n) for r in basis.rows())
+
+
+@pytest.fixture(scope="session")
+def all_monomials_invariant_basis():
+    return _all_monomials_invariant_basis
 
 
 def _per_element_series(group):
@@ -240,6 +256,13 @@ def rotation_c4():
 @pytest.fixture(scope="session")
 def signed_permutations_d2():
     return group_closure([permutation_matrix((1, 0)), diagonal_matrix([-1, 1])])
+
+
+@pytest.fixture(scope="session")
+def scaled_swap():
+    """<[[0, 2], [1/2, 0]]>, of order 2: monomial, with entries 2 and 1/2, so
+    it maps a monomial to a non-unit multiple of another."""
+    return group_closure([RationalMatrix([[0, 2], [Fraction(1, 2), 0]])])
 
 
 @pytest.fixture(scope="session")

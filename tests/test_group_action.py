@@ -324,6 +324,24 @@ class TestAction:
                 b = random_element(rng, d)
                 assert act(g, a * b) == act(g, a) * act(g, b)
 
+    def test_second_action_builds_no_new_linear_form(self, monkeypatch):
+        """The matrix keeps its column powers, so a second call rebuilds none."""
+        g = RationalMatrix([[Fraction(1, 2), 1], [-1, Fraction(2, 3)]])
+        poly = YZPolynomial.monomial(2, (2, 1), (0, 3))
+        expected = substitution_oracle(g, poly)
+        built = []
+        original = YZPolynomial.linear.__func__
+
+        def counted(cls, alphabet, coeffs):
+            built.append(alphabet)
+            return original(cls, alphabet, coeffs)
+
+        monkeypatch.setattr(YZPolynomial, "linear", classmethod(counted))
+        assert act_bulk(g, poly) == expected
+        assert sorted(built) == ["y", "y", "z"]
+        assert act_bulk(g, poly) == expected
+        assert len(built) == 3
+
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):
             act_bulk(SWAP, YZPolynomial.monomial(3, (1, 0, 0), (1, 0, 0)))

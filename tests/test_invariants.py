@@ -27,6 +27,7 @@ from bicomm import (
     symmetric_module_generators,
     trivial_group,
 )
+from bicomm import invariants
 from bicomm.invariants import EchelonBasis, coefficient_spans, element_to_row, row_to_element
 from conftest import module_span_dimension, subalgebra_span_dimension
 
@@ -180,6 +181,69 @@ class TestInvariantBases:
                 oracle.add(element_to_row(reynolds(group, monomial), n))
             expected = tuple(row_to_element(r, d, n) for r in oracle.rows())
             assert invariant_basis(group, n) == expected, n
+
+
+class TestOrbitSkip:
+    """`invariant_basis` averages one monomial per orbit: if g m = c m', the
+    average of m' is that of m over c.  The all-monomials route is the oracle."""
+
+    @staticmethod
+    def count_act_bulk(monkeypatch):
+        calls = []
+        original = invariants.act_bulk
+
+        def counted(g, poly):
+            calls.append(g)
+            return original(g, poly)
+
+        monkeypatch.setattr(invariants, "act_bulk", counted)
+        return calls
+
+    def test_catalogue_matches_the_all_monomials_oracle(
+        self, catalogue, all_monomials_invariant_basis
+    ):
+        for name, group in catalogue:
+            for n in range(1, (8 if group.rank <= 2 else 6) + 1):
+                expected = all_monomials_invariant_basis(group, n)
+                assert invariant_basis(group, n) == expected, (name, n)
+
+    @pytest.mark.parametrize(
+        "group_name,max_degree",
+        [("dihedral_d6", 3), ("a4_group", 3), ("s3_conjugated", 5), ("scaled_swap", 6)],
+    )
+    def test_dense_and_scaled_groups_match_the_all_monomials_oracle(
+        self, request, group_name, max_degree, all_monomials_invariant_basis
+    ):
+        group = request.getfixturevalue(group_name)
+        for n in range(1, max_degree + 1):
+            assert invariant_basis(group, n) == all_monomials_invariant_basis(group, n), n
+
+    def test_scaled_swap_skips_images_with_non_unit_coefficients(self, scaled_swap, monkeypatch):
+        # g y1 z1 = y2 z2 / 4, so the average of y2 z2 is 4 times that of
+        # y1 z1; g y1 z2 = y2 z1.  Two orbits, each averaged once.
+        calls = self.count_act_bulk(monkeypatch)
+        assert invariant_dimension(scaled_swap, 2) == 2
+        assert len(calls) == 2 * 2
+
+    def test_signed_permutations_act_on_one_monomial_per_orbit(
+        self, signed_permutations_d2, monkeypatch
+    ):
+        calls = self.count_act_bulk(monkeypatch)
+        for n in range(1, 11):
+            invariant_basis(signed_permutations_d2, n)
+        assert len(calls) <= 3600
+
+    def test_s3_acts_on_one_monomial_per_orbit(self, s3_group, monkeypatch):
+        calls = self.count_act_bulk(monkeypatch)
+        for n in range(1, 7):
+            invariant_basis(s3_group, n)
+        assert len(calls) <= 1000
+
+    def test_commutative_dimension_skips_the_same_way(self, s3_group, monkeypatch):
+        calls = self.count_act_bulk(monkeypatch)
+        # Degree 4 in 3 variables: 15 monomials in 4 orbits of S_3.
+        assert commutative_invariant_dimension(s3_group, 4) == 4
+        assert len(calls) == 4 * 6
 
 
 class TestIntegerCoefficients:
