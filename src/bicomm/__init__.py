@@ -9,6 +9,7 @@ brute-force linear algebra.  All arithmetic is exact: no floating point.
 
 from .algebra_core import (
     BicommElement,
+    UniPoly,
     YZPolynomial,
     basis_component,
     compositions,
@@ -39,7 +40,6 @@ from .group_action import (
 from .hilbert import (
     RationalFunction,
     TruncatedSeries,
-    UniPoly,
     char_det,
     dicks_formanek,
     expand,

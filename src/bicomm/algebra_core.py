@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from random import Random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -277,6 +278,131 @@ class YZPolynomial(ExactArithmetic):
 
     def __repr__(self) -> str:
         return f"YZPolynomial(d={self.rank}: {self})"
+
+
+@dataclass(frozen=True)
+class UniPoly(ExactArithmetic):
+    """Univariate polynomial in t: ascending `int` or `Fraction` coefficients,
+    no trailing zeros.  An integral `Fraction` is kept as its `int`, so an
+    integer polynomial stays one through the gcd of `RationalFunction`."""
+
+    coeffs: tuple[int | Fraction, ...]
+
+    def __post_init__(self) -> None:
+        coeffs = [
+            c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+            for c in map(_exact, self.coeffs)
+        ]
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        object.__setattr__(self, "coeffs", tuple(coeffs))
+
+    @classmethod
+    def zero(cls) -> "UniPoly":
+        return cls(())
+
+    @classmethod
+    def one(cls) -> "UniPoly":
+        return cls((1,))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def coefficient(self, k: int) -> int | Fraction:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+
+    def __add__(self, other: "UniPoly") -> "UniPoly":
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return UniPoly(tuple(a + b for a, b in pairs))
+
+    def __neg__(self) -> "UniPoly":
+        return UniPoly(tuple(-c for c in self.coeffs))
+
+    def __mul__(self, other):
+        if isinstance(other, UniPoly):
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                if a:
+                    for j, b in enumerate(other.coeffs):
+                        out[i + j] += a * b
+            return UniPoly(tuple(out))
+        if isinstance(other, (int, Fraction)):
+            return UniPoly(tuple(c * other for c in self.coeffs))
+        return NotImplemented
+
+    def __pow__(self, exponent: int) -> "UniPoly":
+        return power_by_squaring(self, exponent, UniPoly.one())
+
+    def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dn, lead = other.degree, other.coeffs[-1]
+        quot = [0] * (len(rem) - dn)
+        for i in range(len(quot) - 1, -1, -1):
+            c = Fraction(rem[i + dn], lead)
+            if c:
+                quot[i] = c
+                for j, b in enumerate(other.coeffs):
+                    rem[i + j] -= c * b
+        return UniPoly(tuple(quot)), UniPoly(tuple(rem[:dn]))
+
+    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
+        return divmod(self, other)[0]
+
+    def __mod__(self, other: "UniPoly") -> "UniPoly":
+        return divmod(self, other)[1]
+
+    def monic(self) -> "UniPoly":
+        if not self:
+            return self
+        return self * Fraction(1, self.coeffs[-1])
+
+    def taylor(self, divisor: "UniPoly", terms: int) -> tuple[int | Fraction, ...]:
+        """The first `terms` Taylor coefficients of self / divisor at t = 0,
+        for a divisor with constant term 1.
+
+        Low order first: the coefficient of t^n is self's minus the sum of
+        divisor[k] times the coefficient of t^(n - k), so nothing is divided
+        and integer data stays `int`.
+        """
+        num, den = self.coeffs, divisor.coeffs
+        if not den or den[0] != 1:
+            raise ValueError(f"divisor {divisor} does not have constant term 1")
+        out: list[int | Fraction] = []
+        for n in range(terms):
+            value = num[n] if n < len(num) else 0
+            for k in range(1, min(n, len(den) - 1) + 1):
+                value -= den[k] * out[n - k]
+            out.append(value)
+        return tuple(out)
+
+    def exact_quotient(self, divisor: "UniPoly") -> "UniPoly | None":
+        """self / divisor for a divisor with constant term 1, or None when
+        the division leaves a remainder.
+
+        The Taylor quotient q to degree deg(self) has q * divisor = self up
+        to that degree, so it divides exactly when q stops at
+        deg(self) - deg(divisor).
+        """
+        top = max(len(self.coeffs) - divisor.degree, 0)
+        quotient = self.taylor(divisor, len(self.coeffs))
+        return None if any(quotient[top:]) else UniPoly(quotient[:top])
+
+    def __str__(self) -> str:
+        symbols = ["1", "t"] + [f"t^{k}" for k in range(2, len(self.coeffs))]
+        return format_terms([(c, s) for c, s in zip(self.coeffs, symbols) if c])
+
+    def __repr__(self) -> str:
+        return f"UniPoly({self})"
 
 
 def left_factor(lift: YZPolynomial) -> YZPolynomial:

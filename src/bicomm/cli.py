@@ -152,12 +152,10 @@ def _cmd_hilbert(args) -> tuple[int, list[str], dict]:
     lines.append("")
     payload_results = {}
     for name, f in results.items():
-        series = expand(f, order)
+        series = _series_payload(expand(f, order))
         lines.append(f"{name}: {f}")
-        lines.append(f"  series to t^{order}: {series}")
-        payload_results[name] = dict(
-            _rational_function_payload(f), series=_series_payload(series)
-        )
+        lines.append(f"  series to t^{order}: [{', '.join(series)}]")
+        payload_results[name] = dict(_rational_function_payload(f), series=series)
     document = {
         "command": "hilbert",
         "input": payload,

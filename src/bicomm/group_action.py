@@ -9,7 +9,8 @@ denominator, so the closure's products and det(1 - g t) run on integers.
 Each generator must pass an exact finite-order test, and so must the 4
 newest elements at 256, 512, ... elements (Schur: an infinite group has an
 element of infinite order); B(d), the largest order of a finite subgroup of
-GL_d(Q), and the cap are the backstop.
+GL_d(Q), and the cap are the backstop.  The test divides det(1 - g t) by
+1 - t and the cyclotomic Phi_n with `UniPoly.exact_quotient`.
 The Reynolds operator is the plain group average, taken over the
 polynomial lift of an element (see `algebra_core`), with which it commutes.
 
@@ -25,13 +26,14 @@ import math
 import operator
 import re
 import reprlib
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .algebra_core import BicommElement, YZPolynomial, power_by_squaring
+from .algebra_core import BicommElement, UniPoly, YZPolynomial, _exact, power_by_squaring
 
 DEFAULT_CLOSURE_CAP = 100_000
 
@@ -66,7 +68,8 @@ class RationalMatrix:
     __slots__ = ("size", "_numerators", "_denominator", "_hash", "_entries", "_powers")
 
     def __init__(self, entries) -> None:
-        rows = [[Fraction(v) for v in row] for row in entries]
+        # An entry is an int, a Fraction or a rational literal such as "2/4".
+        rows = [[Fraction(v) if isinstance(v, str) else _exact(v) for v in row] for row in entries]
         d = len(rows)
         if d == 0 or any(len(row) != d for row in rows):
             raise ValueError("matrix must be square and nonempty")
@@ -156,8 +159,9 @@ class RationalMatrix:
         d = self.size
         return Fraction(sum(self._numerators[:: d + 1]), self._denominator)
 
-    def char_coefficients(self) -> tuple[Fraction, ...]:
-        """Coefficients of det(1 - self t), ascending: 1, c_1, ..., c_d.
+    def char_coefficients(self) -> tuple[int | Fraction, ...]:
+        """Coefficients of det(1 - self t), ascending: 1, c_1, ..., c_d;
+        `int`s when the common denominator q is 1, like `entries`.
 
         The Faddeev-LeVerrier trace recursion yields the c_k with
         det(s - self) = s^d + c_1 s^(d-1) + ... + c_d.  It runs on the
@@ -167,7 +171,7 @@ class RationalMatrix:
         d, q = self.size, self._denominator
         rows = self._rows()
         m = [[int(i == j) for j in range(d)] for i in range(d)]
-        coeffs = [Fraction(1)]
+        coeffs = [1]
         scale = 1
         for k in range(1, d + 1):
             scale *= q
@@ -180,7 +184,7 @@ class RationalMatrix:
             else:
                 # The last step needs only the trace of M m.
                 c = -sum(sum(map(operator.mul, rows[i], cols[i])) for i in range(d)) // k
-            coeffs.append(Fraction(c, scale))
+            coeffs.append(c if q == 1 else Fraction(c, scale))
         return tuple(coeffs)
 
     def det(self) -> Fraction:
@@ -264,61 +268,39 @@ def _totient(n: int) -> int:
     return result
 
 
-def _exact_quotient(poly: Sequence[int], divisor: Sequence[int]) -> list[int] | None:
-    """poly / divisor over Z for a monic divisor, both in descending powers,
-    or None when the division leaves a remainder."""
-    rest = list(poly)
-    top = len(rest) - len(divisor) + 1
-    if top < 1:
-        return None
-    for i in range(top):
-        c = rest[i]
-        if c:
-            for j in range(1, len(divisor)):
-                rest[i + j] -= c * divisor[j]
-    return None if any(rest[top:]) else rest[:top]
-
-
 @lru_cache(maxsize=None)
-def cyclotomic(n: int) -> tuple[int, ...]:
-    """Phi_n in descending powers: s^n - 1 over the Phi_k for k | n, k < n.
-    Read in ascending powers it is Phi_n (palindromic) for n >= 2, 1 - t for n = 1."""
-    poly = [1] + [0] * (n - 1) + [-1]
+def cyclotomic(n: int) -> UniPoly:
+    """1 - t for n = 1, Phi_n(t) for n >= 2: 1 - t^n over the cyclotomic(k)
+    for the k < n that divide n, as 1 - t^n is the product over all k | n."""
+    poly = UniPoly((1,) + (0,) * (n - 1) + (-1,))
     for k in range(1, n):
         if n % k == 0:
-            poly = _exact_quotient(poly, cyclotomic(k))
-    return tuple(poly)
+            poly = poly.exact_quotient(cyclotomic(k))
+    return poly
 
 
-def cyclotomic_factors(coeffs: Sequence[int | Fraction]) -> dict[int, int] | None:
-    """{n: e} with prod Phi_n^e the polynomial of descending coefficients
-    coeffs, such as det(s - g) from `char_coefficients`, or None when it is
-    no such product.  Phi_n has degree phi(n) <= d, which forces n <= 2 d^2.
+def cyclotomic_factors(det: UniPoly) -> dict[int, int] | None:
+    """{n: e} with det the product of the cyclotomic(n)^e, for det such as
+    det(1 - g t), or None when it is no such product.  Phi_n has degree
+    phi(n) <= deg det, which forces n <= 2 deg(det)^2.
     """
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    poly = [int(c) for c in coeffs]
-    factors: dict[int, int] = {}
-    for n in range(1, 2 * (len(poly) - 1) ** 2 + 1):
-        if len(poly) == 1:
-            break
-        if _totient(n) >= len(poly):
-            continue
-        while (quotient := _exact_quotient(poly, cyclotomic(n))) is not None:
-            poly = quotient
-            factors[n] = factors.get(n, 0) + 1
-    return factors if len(poly) == 1 else None
+    factors: Counter[int] = Counter()
+    for n in range(1, 2 * det.degree**2 + 1):
+        while _totient(n) <= det.degree and (quotient := det.exact_quotient(cyclotomic(n))):
+            det = quotient
+            factors[n] += 1
+    return factors if det == UniPoly.one() else None
 
 
 def _has_finite_order(g: RationalMatrix) -> bool:
     """Whether g^m = 1 for some m >= 1, decided exactly.
 
     The eigenvalues of a matrix of finite order are roots of unity, so
-    det(s - g) is a product of cyclotomic polynomials Phi_n.  Then g has
-    finite order exactly when g^m = 1 for m the lcm of those n: its minimal
-    polynomial must divide s^m - 1.
+    det(1 - g t) is a product of 1 - t and cyclotomic polynomials Phi_n.
+    Then g has finite order exactly when g^m = 1 for m the lcm of those n:
+    its minimal polynomial must divide s^m - 1.
     """
-    factors = cyclotomic_factors(g.char_coefficients())
+    factors = cyclotomic_factors(UniPoly(g.char_coefficients()))
     identity = RationalMatrix.identity(g.size)
     return factors is not None and power_by_squaring(g, math.lcm(*factors), identity) == identity
 

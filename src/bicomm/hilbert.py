@@ -2,7 +2,7 @@
 
 Four generating functions are computed here, all as canonical rational
 functions over Q (coprime numerator and denominator, denominator with
-constant term 1):
+constant term 1), whose parts are `algebra_core.UniPoly`s:
 
   * the classical Molien average of 1/det(1 - g t),
   * its trace analogue, averaging 1/(1 - tr(g) t),
@@ -19,9 +19,9 @@ one term per distinct det(1 - g t), weighted by the number of elements that
 share it (Stanley, Bull. AMS 1, 1979).  `char_classes` finds the classes
 once per group.  For a finite group each det(1 - g t) is a product of
 1 - t and cyclotomic Phi_n (Derksen-Kemper, ch. 3), so a series is summed
-over Z on one common denominator read off those factors, with one gcd at
-the end.  Truncated Taylor expansion runs the linear recurrence dictated
-by the denominator.
+as integer polynomials on one common denominator read off those factors,
+with one gcd at the end.  Truncated Taylor expansion is `UniPoly.taylor`,
+the low-order-first division by the denominator.
 """
 
 from __future__ import annotations
@@ -29,112 +29,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import zip_longest
-from typing import Sequence
+from functools import lru_cache
+from math import prod
 
-from .algebra_core import ExactArithmetic, format_terms, power_by_squaring
+from .algebra_core import ExactArithmetic, UniPoly
 from .group_action import FiniteGroup, RationalMatrix, cyclotomic, cyclotomic_factors
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class UniPoly(ExactArithmetic):
-    """Univariate polynomial in t: ascending coefficients, no trailing zeros."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        coeffs = [Fraction(c) for c in self.coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls((_ONE,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
-
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        size = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            tuple(self.coefficient(i) + other.coefficient(i) for i in range(size))
-        )
-
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            if not self.coeffs or not other.coeffs:
-                return UniPoly.zero()
-            out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a:
-                    for j, b in enumerate(other.coeffs):
-                        out[i + j] += a * b
-            return UniPoly(tuple(out))
-        if isinstance(other, (int, Fraction)):
-            factor = Fraction(other)
-            return UniPoly(tuple(c * factor for c in self.coeffs))
-        return NotImplemented
-
-    def __pow__(self, exponent: int) -> "UniPoly":
-        return power_by_squaring(self, exponent, UniPoly.one())
-
-    def __divmod__(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dn = other.degree
-        lead = other.coeffs[-1]
-        if len(rem) <= dn:
-            return UniPoly.zero(), self
-        quot = [_ZERO] * (len(rem) - dn)
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + dn] / lead
-            if c:
-                quot[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] -= c * b
-        return UniPoly(tuple(quot)), UniPoly(tuple(rem[:dn]))
-
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[1]
-
-    def monic(self) -> "UniPoly":
-        if not self:
-            return self
-        return self * (1 / self.coeffs[-1])
-
-    def __str__(self) -> str:
-        symbols = ["1", "t"] + [f"t^{k}" for k in range(2, len(self.coeffs))]
-        return format_terms([(c, s) for c, s in zip(self.coeffs, symbols) if c])
-
-    def __repr__(self) -> str:
-        return f"UniPoly({self})"
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -161,17 +60,14 @@ class RationalFunction(ExactArithmetic):
         num, den = self.numerator, self.denominator
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if not num:
-            num, den = UniPoly.zero(), UniPoly.one()
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
+        g = poly_gcd(num, den)
+        if g.degree > 0:
+            num, den = num // g, den // g
         c = den.coefficient(0)
         if not c:
             raise ValueError("denominator vanishes at t = 0; not a Taylor series")
         if c != 1:
-            inv = 1 / c
+            inv = Fraction(1, c)
             num, den = num * inv, den * inv
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
@@ -202,7 +98,7 @@ class RationalFunction(ExactArithmetic):
                 self.denominator * other.denominator,
             )
         if isinstance(other, (int, Fraction)):
-            return RationalFunction(self.numerator * Fraction(other), self.denominator)
+            return RationalFunction(self.numerator * other, self.denominator)
         return NotImplemented
 
     def __str__(self) -> str:
@@ -216,41 +112,20 @@ class RationalFunction(ExactArithmetic):
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """Exact Taylor coefficients of degrees 0..N."""
+    """Exact Taylor coefficients of degrees 0..N, as `expand` gives them."""
 
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coefficients:
-            raise ValueError("a truncated series has at least the degree-0 coefficient")
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
-        )
-
-    def coefficient(self, n: int) -> Fraction:
-        return self.coefficients[n]
-
-    def __str__(self) -> str:
-        return "[" + ", ".join(str(c) for c in self.coefficients) + "]"
+    coefficients: tuple[int | Fraction, ...]
 
 
 def expand(f: RationalFunction, order: int) -> TruncatedSeries:
     """First order+1 Taylor coefficients of f at t = 0.
 
-    Runs the linear recurrence defined by the denominator; the canonical
-    form guarantees the denominator is a unit at 0.
+    The canonical denominator has constant term 1, so this is the
+    low-order-first division `UniPoly.taylor`.
     """
     if order < 0:
         raise ValueError("truncation order must be nonnegative")
-    num = f.numerator
-    den = f.denominator.coeffs
-    out: list[Fraction] = []
-    for n in range(order + 1):
-        value = num.coefficient(n)
-        for k in range(1, min(n, len(den) - 1) + 1):
-            value -= den[k] * out[n - k]
-        out.append(value / den[0])
-    return TruncatedSeries(tuple(out))
+    return TruncatedSeries(f.numerator.taylor(f.denominator, order + 1))
 
 
 def char_det(g: RationalMatrix) -> UniPoly:
@@ -273,56 +148,38 @@ def char_classes(group: FiniteGroup) -> tuple[tuple[UniPoly, int], ...]:
     return tuple(Counter(char_det(g) for g in group.elements).items())
 
 
-def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Product of two integer polynomials in ascending powers."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _int_product(factors: Counter) -> list[int]:
-    """The product of the integer polynomials p^e over the entries p: e."""
-    return reduce(_int_mul, factors.elements(), [1])
-
-
 def _class_sum(group: FiniteGroup, term) -> RationalFunction:
     """(1/|G|) times the sum of term(det(1 - g t)) over the elements g, one
     term per class of `char_classes`; ValueError names a det that is not a
     product of cyclotomic factors, as no element of a finite group has one.
 
-    term(det, factors) gets a det's integer coefficients and its factors
-    {`cyclotomic(n)`: e}, and returns an integer numerator and a denominator
-    {p: e}, the product of the p^e for pairwise coprime integer p.  The
-    common denominator D takes each p to its largest e, so D over a class
-    denominator needs no division; the numerators are summed over Z, and the
-    one `RationalFunction` built at the end runs the only gcd.
+    term(det, factors) gets a det and its factors {`cyclotomic(n)`: e}, and
+    returns a numerator and a denominator {p: e}, the product of the p^e for
+    pairwise coprime integer polynomials p.  The common denominator D takes
+    each p to its largest e, so D over a class denominator needs no
+    division; the numerators are summed over Z, and the one
+    `RationalFunction` built at the end runs the only gcd.
     """
     terms = []
     for det, count in char_classes(group):
-        factors = cyclotomic_factors(det.coeffs)
+        factors = cyclotomic_factors(det)
         if factors is None:
             raise ValueError(
                 f"not a finite group: det(1 - g t) = {det} is no product of cyclotomic factors"
             )
-        coeffs = [int(det.coefficient(k)) for k in range(group.rank + 1)]
-        terms.append((count, *term(coeffs, {cyclotomic(n): e for n, e in factors.items()})))
+        terms.append((count, *term(det, {cyclotomic(n): e for n, e in factors.items()})))
     common = Counter()
     for _, _, den in terms:
         common |= Counter(den)
-    total = [0]
+    one, total = UniPoly.one(), UniPoly.zero()
     for count, num, den in terms:
-        part = _int_mul(num, _int_product(common - Counter(den)))
-        total = [a + count * b for a, b in zip_longest(total, part, fillvalue=0)]
-    return RationalFunction(
-        UniPoly(tuple(total)) * Fraction(1, group.order), UniPoly(tuple(_int_product(common)))
-    )
+        total = total + num * prod((common - Counter(den)).elements(), start=one) * count
+    return RationalFunction(total * Fraction(1, group.order), prod(common.elements(), start=one))
 
 
 def molien_classic(group: FiniteGroup) -> RationalFunction:
     """Average of 1/det(1 - g t): the series of the polynomial invariants."""
-    return _class_sum(group, lambda det, factors: ([1], factors))
+    return _class_sum(group, lambda det, factors: (UniPoly.one(), factors))
 
 
 def dicks_formanek(group: FiniteGroup) -> RationalFunction:
@@ -331,16 +188,18 @@ def dicks_formanek(group: FiniteGroup) -> RationalFunction:
     With det(1 - g t) = 1 + c_1 t + ..., tr(g) = -c_1, so 1 - tr(g) t is
     1 + c_1 t; distinct ones are coprime.
     """
-    return _class_sum(group, lambda det, factors: ([1], {(1, det[1]): 1}))
+    return _class_sum(
+        group, lambda det, factors: (UniPoly.one(), {UniPoly((1, det.coefficient(1))): 1})
+    )
 
 
 def hilbert_free_bicomm(d: int) -> RationalFunction:
     """Series of the whole rank-d algebra: d*t + (1/(1-t)^d - 1)^2."""
     if d < 1:
         raise ValueError("rank must be >= 1")
-    geometric = RationalFunction(UniPoly.one(), UniPoly((_ONE, -_ONE)) ** d)
+    geometric = RationalFunction(UniPoly.one(), UniPoly((1, -1)) ** d)
     bulk = geometric - RationalFunction.one()
-    linear = RationalFunction.from_poly(UniPoly((_ZERO, Fraction(d))))
+    linear = RationalFunction.from_poly(UniPoly((0, d)))
     return linear + bulk * bulk
 
 
@@ -354,11 +213,10 @@ def molien_bicomm(group: FiniteGroup) -> RationalFunction:
     to `hilbert_free_bicomm`.
     """
 
-    def term(det: list[int], factors: dict[tuple[int, ...], int]):
-        # (1/det - 1)^2 + tr t = ((1 - det)^2 + tr t det^2) / det^2
-        bulk = [0] + [-c for c in det[1:]]
-        square, trace = _int_mul(bulk, bulk), [0] + _int_mul(det, det)
-        numerator = [a - det[1] * b for a, b in zip_longest(square, trace, fillvalue=0)]
+    def term(det: UniPoly, factors: dict[UniPoly, int]):
+        # (1/det - 1)^2 + tr t = ((1 - det)^2 - c_1 t det^2) / det^2
+        bulk = UniPoly.one() - det
+        numerator = bulk * bulk - UniPoly((0, det.coefficient(1))) * det * det
         return numerator, {p: 2 * e for p, e in factors.items()}
 
     return _class_sum(group, term)

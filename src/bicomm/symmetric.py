@@ -178,7 +178,7 @@ def symmetric_module_generators(d: int, degree_bound: int) -> SymmetricModuleGen
     if degree_bound < 2:
         raise ValueError("degree bound must be >= 2")
     series = expand(molien_bicomm(symmetric_group(d)), degree_bound)
-    invariant_dims = {n: int(series.coefficient(n)) for n in range(2, degree_bound + 1)}
+    invariant_dims = {n: int(series.coefficients[n]) for n in range(2, degree_bound + 1)}
     coefficient_gens = [
         elementary_symmetric(alphabet, d, k)
         for alphabet in ("y", "z")

@@ -6,6 +6,7 @@ import pytest
 from bicomm import (
     BicommElement,
     RationalFunction,
+    RationalMatrix,
     UniPoly,
     YZPolynomial,
     basis_component,
@@ -86,6 +87,19 @@ class TestCoefficientTypes:
             YZPolynomial.monomial(2, (1, 0), (0, 1), value)
         with pytest.raises(TypeError):
             BicommElement.from_linear(2, [1, value])
+        with pytest.raises(TypeError):
+            UniPoly([1, value])
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, True, False])
+    def test_matrices_take_no_floats_or_bools(self, value):
+        with pytest.raises(TypeError):
+            RationalMatrix([[value]])
+        with pytest.raises(TypeError):
+            RationalMatrix([[1, 0], [value, 1]])
+
+    def test_matrices_read_rational_literals(self):
+        matrix = RationalMatrix([["2/4", "1"], [0, Fraction(1, 3)]])
+        assert matrix.entries == ((Fraction(1, 2), 1), (0, Fraction(1, 3)))
 
     def test_integral_data_stays_int(self):
         p = YZPolynomial.monomial(2, (1, 0), (0, 1), 2) + YZPolynomial.constant(2, 3)
@@ -93,6 +107,11 @@ class TestCoefficientTypes:
         assert all(type(c) is int for c in q.terms.values())
         assert q * Fraction(1, 5) == p * p - YZPolynomial.variable(2, "y", 1)
         assert all(type(c) is int for c in BicommElement.from_linear(2, [2, -1]).linear)
+        p = (UniPoly([1, -2]) * UniPoly([3, 0, 1]) + UniPoly([0, 5])) ** 2
+        assert all(type(c) is int for c in p.coeffs)
+        assert all(type(c) is int for c in (p * Fraction(1, 2) * 2).coeffs)
+        quotient, remainder = divmod(p, UniPoly([3, 0, 1]))
+        assert all(type(c) is int for c in quotient.coeffs + remainder.coeffs)
 
 
 class TestBicommProduct:

@@ -1,7 +1,9 @@
 import json
+import random
 import re
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 import pytest
 
@@ -79,6 +81,80 @@ class TestUniPoly:
         b = common * UniPoly([2, 1])
         assert poly_gcd(a, b) == common
         assert poly_gcd(a, UniPoly.zero()) == a.monic()
+
+
+def _random_poly(rng, degree, fractional, constant=None):
+    """A random polynomial of exactly this degree: int coefficients in
+    -5..5, or Fractions with denominators up to 4 when `fractional`."""
+    def coefficient():
+        value = rng.randint(-5, 5)
+        return Fraction(value, rng.randint(1, 4)) if fractional else value
+
+    coeffs = [coefficient() for _ in range(degree)] + [rng.choice((-3, -1, 1, 2))]
+    if constant is not None:
+        coeffs[0] = constant
+    return UniPoly(coeffs)
+
+
+class TestExactDivision:
+    """`UniPoly.exact_quotient` and `taylor`, the low-order-first division,
+    against the Euclidean `divmod`."""
+
+    @pytest.mark.parametrize("fractional", [False, True], ids=["int", "Fraction"])
+    def test_exact_quotient_matches_divmod(self, fractional):
+        rng = random.Random(18)
+        for _ in range(200):
+            divisor = _random_poly(rng, rng.randint(0, 5), fractional, constant=1)
+            quotient = _random_poly(rng, rng.randint(0, 6), fractional)
+            product = quotient * divisor
+            assert product.exact_quotient(divisor) == quotient == divmod(product, divisor)[0]
+            if not fractional:
+                assert all(type(c) is int for c in product.exact_quotient(divisor).coeffs)
+            other = _random_poly(rng, rng.randint(0, 8), fractional)
+            q, r = divmod(other, divisor)
+            assert other.exact_quotient(divisor) == (None if r else q)
+            if divisor.degree > 0:
+                remainder = _random_poly(rng, rng.randint(0, divisor.degree - 1), fractional)
+                assert (product + remainder).exact_quotient(divisor) is None
+
+    @pytest.mark.parametrize("fractional", [False, True], ids=["int", "Fraction"])
+    def test_taylor_is_the_series_quotient(self, fractional):
+        rng = random.Random(19)
+        for _ in range(100):
+            divisor = _random_poly(rng, rng.randint(0, 4), fractional, constant=1)
+            numerator = _random_poly(rng, rng.randint(0, 4), fractional)
+            terms = rng.randint(0, 12)
+            series = UniPoly(numerator.taylor(divisor, terms))
+            assert len(numerator.taylor(divisor, terms)) == terms
+            low = (series * divisor - numerator).coeffs
+            assert not any(low[:terms])
+
+    def test_taylor_needs_constant_term_one(self):
+        for divisor in (UniPoly([2, 1]), T, UniPoly.zero()):
+            with pytest.raises(ValueError):
+                ONE.taylor(divisor, 3)
+
+    def test_cyclotomic_products_over_divisors(self):
+        for n in range(1, 61):
+            divisors = [k for k in range(1, n + 1) if n % k == 0]
+            one_minus_t_n = UniPoly([1] + [0] * (n - 1) + [-1])
+            assert prod(map(cyclotomic, divisors), start=ONE) == one_minus_t_n
+            assert all(type(c) is int for c in cyclotomic(n).coeffs)
+        assert cyclotomic(1) == UniPoly([1, -1])
+        assert cyclotomic(12) == UniPoly([1, 0, -1, 0, 1])
+
+    def test_cyclotomic_factors_recovers_exponents(self):
+        rng = random.Random(20)
+        for _ in range(100):
+            exponents = {}
+            for _ in range(rng.randint(0, 4)):
+                n = rng.randint(1, 15)
+                exponents[n] = exponents.get(n, 0) + 1
+            det = prod((cyclotomic(n) ** e for n, e in exponents.items()), start=ONE)
+            assert cyclotomic_factors(det) == exponents
+            for stranger in (UniPoly([1, -2]), UniPoly([1, Fraction(1, 2)])):
+                assert cyclotomic_factors(det * stranger) is None
+        assert cyclotomic_factors(UniPoly([2, -2])) is None
 
 
 class TestRationalFunction:
@@ -170,9 +246,9 @@ class TestClosedForms:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_free_series_counts_basis(self, d):
         series = expand(hilbert_free_bicomm(d), 8)
-        assert series.coefficient(0) == 0
+        assert series.coefficients[0] == 0
         for n in range(1, 9):
-            assert series.coefficient(n) == dim_component(d, n)
+            assert series.coefficients[n] == dim_component(d, n)
 
     def test_molien_bicomm_trivial_matches_free(self):
         for d in (1, 2, 3, 4):
@@ -184,9 +260,9 @@ class TestClosedForms:
         assert molien_bicomm(negation_d1) == RationalFunction(numerator, denominator)
         series = expand(molien_bicomm(negation_d1), 10)
         for m in range(6):
-            assert series.coefficient(2 * m) == (2 * m - 1 if m else 0)
+            assert series.coefficients[2 * m] == (2 * m - 1 if m else 0)
         for m in range(5):
-            assert series.coefficient(2 * m + 1) == 0
+            assert series.coefficients[2 * m + 1] == 0
 
     def test_molien_bicomm_swap_series(self, swap_group):
         series = expand(molien_bicomm(swap_group), 6)
@@ -202,8 +278,8 @@ class TestClosedForms:
                     UniPoly([0, g.trace()])
                 )
                 series = expand(term, 1)
-                assert series.coefficient(0) == 0
-                assert series.coefficient(1) == g.trace()
+                assert series.coefficients[0] == 0
+                assert series.coefficients[1] == g.trace()
 
 
 B3_GENERATORS = adjacent_transpositions(3) + [diagonal_matrix([-1, 1, 1])]
@@ -243,10 +319,10 @@ class TestClassSums:
         for group, classes in ((b4_group, 14), (a4_group, 7)):
             assert len(char_classes(group)) == classes
             for det, _ in char_classes(group):
-                factors = cyclotomic_factors(det.coeffs)
+                factors = cyclotomic_factors(det)
                 rebuilt = ONE
                 for n, e in factors.items():
-                    rebuilt = rebuilt * UniPoly(cyclotomic(n)) ** e
+                    rebuilt = rebuilt * cyclotomic(n) ** e
                 assert rebuilt == det
                 seen.update(factors)
         assert {1, 2, 3, 4, 5, 6, 8} <= seen
@@ -277,6 +353,21 @@ class TestClassSums:
         not_a_group = FiniteGroup(1, (RationalMatrix.identity(1), g))
         with pytest.raises(ValueError, match=re.escape(f"det(1 - g t) = {char_det(g)} is no")):
             series(not_a_group)
+
+    def test_integral_data_stays_int(
+        self, catalogue, b3_group, b4_group, a4_group, dihedral_d6
+    ):
+        for group in (b4_group, a4_group):
+            for g in group.elements:
+                assert all(type(c) is int for c in g.char_coefficients())
+                assert all(type(c) is int for c in char_det(g).coeffs)
+        groups = catalogue + [
+            ("B_3", b3_group), ("B_4", b4_group), ("A_4", a4_group), ("D_6", dihedral_d6)
+        ]
+        for name, group in groups:
+            for series in (molien_classic, dicks_formanek, molien_bicomm):
+                denominator = series(group).denominator
+                assert all(type(c) is int for c in denominator.coeffs), (name, series.__name__)
 
     def test_classes_partition_the_group(self, b3_group):
         classes = char_classes(b3_group)

@@ -168,7 +168,7 @@ class TestInvariantBases:
         for group in (swap_group, rotation_c4):
             series = expand(molien_bicomm(group), 6)
             for n in range(1, 7):
-                assert series.coefficient(n) == invariant_dimension(group, n)
+                assert series.coefficients[n] == invariant_dimension(group, n)
 
 
     @pytest.mark.parametrize("group_name", ["dihedral_d6", "b3_group", "s3_conjugated"])
