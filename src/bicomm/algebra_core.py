@@ -180,8 +180,6 @@ class YZPolynomial(ExactArithmetic):
     @classmethod
     def variable(cls, rank: int, alphabet: str, index: int) -> "YZPolynomial":
         """The single variable y_index or z_index (1-based index)."""
-        if alphabet not in ("y", "z"):
-            raise ValueError(f"alphabet must be 'y' or 'z', got {alphabet!r}")
         if not 1 <= index <= rank:
             raise ValueError(f"variable index {index} out of range 1..{rank}")
         coeffs = [0] * rank
@@ -195,6 +193,8 @@ class YZPolynomial(ExactArithmetic):
         Trusted like the plain constructor: coefficients must be ints or
         Fractions; they compare, hash and print alike.
         """
+        if alphabet not in ("y", "z"):
+            raise ValueError(f"alphabet must be 'y' or 'z', got {alphabet!r}")
         rank = len(coeffs)
         zeros = (0,) * rank
         terms: dict[TermKey, int | Fraction] = {}

@@ -59,17 +59,18 @@ class RationalMatrix:
     The matrix is kept in one canonical integer form: its entries, row by
     row, as integer numerators over one positive common denominator, with no
     factor common to all of them.  Equality and hashing read that form, and
-    a product is one integer product, reduced once.  Two caches are derived
-    from it on first access and kept with the matrix: `entries`, the rows of
+    a product is one integer product, reduced once.  `entries`, the rows of
     values (`int`s when the common denominator is 1, `Fraction`s otherwise),
-    and the powers of its columns as linear forms, which `act_bulk` reads.
+    is worked out from it when read.  The powers of its columns as linear
+    forms, which `act_bulk` reads, are built on first use and kept.
     """
 
-    __slots__ = ("size", "_numerators", "_denominator", "_hash", "_entries", "_powers")
+    __slots__ = ("size", "_numerators", "_denominator", "_hash", "_powers")
 
     def __init__(self, entries) -> None:
-        # An entry is an int, a Fraction or a rational literal such as "2/4".
-        rows = [[Fraction(v) if isinstance(v, str) else _exact(v) for v in row] for row in entries]
+        # An entry is an int, a Fraction or a group-file literal such as "2/4".
+        rows = [[parse_rational(v) if isinstance(v, str) else _exact(v) for v in row]
+                for row in entries]
         d = len(rows)
         if d == 0 or any(len(row) != d for row in rows):
             raise ValueError("matrix must be square and nonempty")
@@ -84,8 +85,7 @@ class RationalMatrix:
         set_slot(self, "_numerators", numerators)
         set_slot(self, "_denominator", denominator)
         set_slot(self, "_hash", hash((numerators, denominator)))
-        set_slot(self, "_entries", None)
-        set_slot(self, "_powers", None)
+        set_slot(self, "_powers", {})
 
     @classmethod
     def _reduced(cls, d: int, numerators: list[int], denominator: int) -> "RationalMatrix":
@@ -103,21 +103,17 @@ class RationalMatrix:
 
     @property
     def entries(self) -> tuple[tuple[int | Fraction, ...], ...]:
-        if self._entries is None:
-            d, q = self.size, self._denominator
-            values = self._numerators if q == 1 else [Fraction(n, q) for n in self._numerators]
-            rows = tuple(tuple(values[i : i + d]) for i in range(0, d * d, d))
-            object.__setattr__(self, "_entries", rows)
-        return self._entries
+        d, q = self.size, self._denominator
+        values = self._numerators if q == 1 else [Fraction(n, q) for n in self._numerators]
+        return tuple(tuple(values[i : i + d]) for i in range(0, d * d, d))
 
     def _column_power(self, alphabet: str, j: int, e: int) -> YZPolynomial:
         """l^e for l = sum_i self[i][j] y_i (alphabet "y"), or the same in z;
         built as l^(e-1) l and kept, so each power is expanded once."""
-        if self._powers is None:
-            object.__setattr__(self, "_powers", {})
         powers = self._powers.setdefault((alphabet, j), [])
         if not powers:
-            powers.append(YZPolynomial.linear(alphabet, [row[j] for row in self.entries]))
+            column = act_linear(self, [int(i == j) for i in range(self.size)])
+            powers.append(YZPolynomial.linear(alphabet, column))
         while len(powers) < e:
             powers.append(powers[-1] * powers[0])
         return powers[e - 1]
@@ -155,9 +151,9 @@ class RationalMatrix:
             self._denominator * other._denominator,
         )
 
-    def trace(self) -> Fraction:
-        d = self.size
-        return Fraction(sum(self._numerators[:: d + 1]), self._denominator)
+    def trace(self) -> int | Fraction:
+        total, q = sum(self._numerators[:: self.size + 1]), self._denominator
+        return total if q == 1 else Fraction(total, q)
 
     def char_coefficients(self) -> tuple[int | Fraction, ...]:
         """Coefficients of det(1 - self t), ascending: 1, c_1, ..., c_d;
@@ -230,8 +226,6 @@ class FiniteGroup:
     def average(self, term):
         """(1/|G|) times the sum of term(g) over the elements g.
 
-        The values are summed as they come, and `term` may record them, as
-        `invariants` does to skip monomials whose average it already knows.
         The identity is always an element, so the sum needs no zero of the
         result type to start from.
         """
@@ -386,10 +380,13 @@ def symmetric_group(d: int) -> FiniteGroup:
 
 
 def act_linear(g: RationalMatrix, coeffs: Sequence[int | Fraction]) -> tuple[int | Fraction, ...]:
-    """Image of a linear coefficient vector: the vector maps by the matrix g."""
+    """Image of a linear coefficient vector under g, from the integer rows with
+    one division by q per coordinate: `int`s for an integer vector when q = 1."""
     if g.size != len(coeffs):
         raise ValueError("rank mismatch between matrix and coefficient vector")
-    return tuple(sum(map(operator.mul, row, coeffs)) for row in g.entries)
+    q = g._denominator
+    sums = (sum(map(operator.mul, row, coeffs)) for row in g._rows())
+    return tuple(sums) if q == 1 else tuple(Fraction(s, q) for s in sums)
 
 
 def act_bulk(g: RationalMatrix, poly: YZPolynomial) -> YZPolynomial:
@@ -413,9 +410,10 @@ def act_bulk(g: RationalMatrix, poly: YZPolynomial) -> YZPolynomial:
 
 
 def act(g: RationalMatrix, element: BicommElement) -> BicommElement:
-    """The diagonal action on a full algebra element."""
-    linear = YZPolynomial.linear("z", act_linear(g, element.linear))
-    return BicommElement(element.rank, linear + act_bulk(g, element.bulk))
+    """The diagonal action on a full algebra element, its degree-1 part apart
+    from its bulk: an independent check of `reynolds`, which acts on lifts."""
+    linear = BicommElement.from_linear(element.rank, act_linear(g, element.linear))
+    return linear + BicommElement.from_bulk(act_bulk(g, element.bulk))
 
 
 def reynolds(group: FiniteGroup, element: BicommElement) -> BicommElement:

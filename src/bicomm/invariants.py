@@ -1,8 +1,8 @@
 """Degree-wise invariants by exact linear algebra.
 
 Everything here reduces to one primitive: an incrementally maintained
-echelon basis of sparse integer rows.  Reynolds images of the monomial
-basis give invariant bases.  One routine, `add_products`, forms every
+echelon basis of sparse integer rows.  Orbit sums of the monomial basis
+give invariant bases.  One routine, `add_products`, forms every
 product span: lower invariants times new generators give the spans that
 `nonfg_witness` compares with the invariants, and coefficient-algebra
 products applied to module generators give module spans.  All ranks are
@@ -135,40 +135,41 @@ def row_to_element(row: SparseRow, d: int, degree: int) -> BicommElement:
     return BicommElement(d, _row_to_poly(row, d, degree))
 
 
-def _orbit_averages(group: FiniteGroup, monomials: Iterable[YZPolynomial]):
-    """The group averages R(m) of the monomials m, less those already known.
+def _orbit_sums(group: FiniteGroup, monomials: Iterable[YZPolynomial]):
+    """The orbit sums S(m), the sum of g m over the group, of the monomials m
+    that no earlier image has reached.
 
-    If g m = c m' for a monomial m', then R(m') = R(m) / c, as R(g m) = R(m):
-    the images of m mark each monomial m' they reach as one term, and a
-    marked monomial is skipped, since its average adds nothing to the span.
-    For a monomial group that leaves one average per orbit.
+    S(m) is |G| times the Reynolds image R(m), so it spans the same line.  If
+    g m = c m' for a monomial m', then S(m') = S(m) / c, as S(g m) = S(m): the
+    single-term images of m mark the monomials m' they reach, and a marked
+    monomial is skipped, since its sum adds nothing to the span.  For a
+    monomial group that leaves one sum per orbit.
     """
     covered = set()
-
-    def image(g, monomial):
-        result = act_bulk(g, monomial)
-        if len(result.terms) == 1:
-            covered.update(result.terms)
-        return result
-
     for monomial in monomials:
         if not covered.issuperset(monomial.terms):
-            yield group.average(lambda g: image(g, monomial))
+            # Summed as they come, one alive at a time; the identity's is first.
+            images = (act_bulk(g, monomial) for g in group.elements)
+            total = next(images)
+            for image in images:
+                if len(image.terms) == 1:
+                    covered.update(image.terms)
+                total = total + image
+            yield total
 
 
 def invariant_basis(group: FiniteGroup, n: int) -> tuple[BicommElement, ...]:
     """Echelonized basis of the G-invariants in degree n.
 
-    Computed as the row space of the Reynolds images of the canonical
-    monomial basis, less those `_orbit_averages` already knows, reduced with
-    pivots scaled to 1.
+    Computed as the row space of the orbit sums of the canonical monomial
+    basis, less those `_orbit_sums` skips, reduced with pivots scaled to 1.
     """
     if n < 1:
         raise ValueError("invariants live in degrees >= 1")
     d = group.rank
     basis = EchelonBasis()
-    for average in _orbit_averages(group, (m.lift for m in basis_component(d, n))):
-        basis.add(element_to_row(BicommElement(d, average), n))
+    for orbit_sum in _orbit_sums(group, (m.lift for m in basis_component(d, n))):
+        basis.add(element_to_row(BicommElement(d, orbit_sum), n))
     return tuple(row_to_element(r, d, n) for r in basis.rows())
 
 
@@ -179,8 +180,8 @@ def invariant_dimension(group: FiniteGroup, n: int) -> int:
 def commutative_invariant_dimension(group: FiniteGroup, n: int) -> int:
     """Brute-force dimension of the degree-n G-invariants of K[x_1..x_d].
 
-    Averages the commutative monomials over the group through the same
-    `_orbit_averages` and row-reduces; this is the oracle the det-based
+    Sums the orbits of the commutative monomials through the same
+    `_orbit_sums` and row-reduces; this is the oracle the det-based
     closed formula is checked against, and it never touches determinants.
     """
     if n < 0:
@@ -189,8 +190,8 @@ def commutative_invariant_dimension(group: FiniteGroup, n: int) -> int:
     zeros = (0,) * d
     basis = EchelonBasis()
     monomials = (YZPolynomial.monomial(d, alpha, zeros) for alpha in compositions(n, d))
-    for average in _orbit_averages(group, monomials):
-        basis.add(poly_to_row(average, n))
+    for orbit_sum in _orbit_sums(group, monomials):
+        basis.add(poly_to_row(orbit_sum, n))
     return basis.dimension
 
 

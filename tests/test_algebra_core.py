@@ -97,6 +97,13 @@ class TestCoefficientTypes:
         with pytest.raises(TypeError):
             RationalMatrix([[1, 0], [value, 1]])
 
+    @pytest.mark.parametrize("alphabet", ["x", "Y", "yz", ""])
+    def test_variables_and_linear_forms_take_only_y_or_z(self, alphabet):
+        with pytest.raises(ValueError, match="alphabet must be 'y' or 'z'"):
+            YZPolynomial.linear(alphabet, [1, 2])
+        with pytest.raises(ValueError, match="alphabet must be 'y' or 'z'"):
+            YZPolynomial.variable(2, alphabet, 1)
+
     def test_matrices_read_rational_literals(self):
         matrix = RationalMatrix([["2/4", "1"], [0, Fraction(1, 3)]])
         assert matrix.entries == ((Fraction(1, 2), 1), (0, Fraction(1, 3)))

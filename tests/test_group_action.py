@@ -1,5 +1,6 @@
 import json
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -222,6 +223,17 @@ class TestIntegerForm:
         assert hash(product) == hash(RationalMatrix.identity(2))
         assert is_identity(product)
 
+    @pytest.mark.parametrize("text", ["1.5", "1e3", "+3", "1_000"])
+    def test_string_entries_follow_the_group_file_grammar(self, text):
+        with pytest.raises(GroupFileError):
+            RationalMatrix([[text]])
+        with pytest.raises(TypeError):
+            RationalMatrix([[float(text)]])
+
+    @pytest.mark.parametrize("text,value", [("2/4", Fraction(1, 2)), ("-3", -3), (" 7 ", 7)])
+    def test_string_entries_read_as_group_file_literals(self, text, value):
+        assert RationalMatrix([[text]]).entries == ((value,),)
+
     def test_matrices_are_immutable(self):
         with pytest.raises(AttributeError):
             SWAP.size = 3
@@ -285,6 +297,45 @@ class TestAction:
 
     def test_negation_flips_sign(self):
         assert act_linear(diagonal_matrix([-1]), (Fraction(1),)) == (Fraction(-1),)
+
+    def test_act_linear_matches_the_entries_oracle(self):
+        """`act_linear` reads the integer rows; the oracle reads `entries`.
+        The result types agree too: `int`s for an integer vector when the
+        common denominator is 1, `Fraction`s otherwise."""
+        rng = random.Random(29)
+        for d in range(1, 5):
+            for _ in range(25):
+                q = rng.randint(1, 9)
+                g = RationalMatrix(
+                    [[Fraction(rng.randint(-9, 9), q) for _ in range(d)] for _ in range(d)]
+                )
+                integer = [rng.randint(-5, 5) for _ in range(d)]
+                rational = [Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for _ in range(d)]
+                for coeffs in (integer, rational):
+                    expected = tuple(sum(map(operator.mul, row, coeffs)) for row in g.entries)
+                    image = act_linear(g, coeffs)
+                    assert image == expected
+                    assert [type(c) for c in image] == [type(c) for c in expected]
+        assert [type(c) for c in act_linear(SWAP, (2, -3))] == [int, int]
+        half = diagonal_matrix([Fraction(1, 2), 2])
+        assert [type(c) for c in act_linear(half, (2, 1))] == [Fraction, Fraction]
+
+    def test_act_matches_the_two_line_formula(self, catalogue, s3_conjugated):
+        """`act` goes through the element API; the formula it replaced, which
+        wrote the lift keys itself, is the oracle."""
+
+        def oracle(g, element):
+            linear = YZPolynomial.linear("z", act_linear(g, element.linear))
+            return BicommElement(element.rank, linear + act_bulk(g, element.bulk))
+
+        general = RationalMatrix([[Fraction(1, 2), 1], [-1, Fraction(2, 3)]])
+        matrices = [g for _, group in catalogue for g in group.elements]
+        matrices += list(s3_conjugated.elements) + [general]
+        rng = random.Random(31)
+        for g in matrices:
+            for _ in range(3):
+                element = random_element(rng, g.size)
+                assert act(g, element) == oracle(g, element)
 
     def test_swap_permutes_bulk(self):
         y1z2 = YZPolynomial.monomial(2, (1, 0), (0, 1))

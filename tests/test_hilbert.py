@@ -361,6 +361,7 @@ class TestClassSums:
             for g in group.elements:
                 assert all(type(c) is int for c in g.char_coefficients())
                 assert all(type(c) is int for c in char_det(g).coeffs)
+                assert type(g.trace()) is int
         groups = catalogue + [
             ("B_3", b3_group), ("B_4", b4_group), ("A_4", a4_group), ("D_6", dihedral_d6)
         ]

@@ -268,6 +268,25 @@ class TestIntegerCoefficients:
             element = random_element(rng, group.rank)
             self.assert_exact([reynolds(group, element).lift])
 
+    def test_integer_groups_reduce_integer_rows(
+        self, s3_group, rotation_c4, signed_permutations_d2, monkeypatch
+    ):
+        """The orbit sums of an integer group are integral, so every row that
+        `invariant_basis` passes to the echelon basis holds only `int`s."""
+        rows = []
+        original = EchelonBasis.add
+
+        def recorded(basis, row):
+            rows.append(row)
+            return original(basis, row)
+
+        monkeypatch.setattr(EchelonBasis, "add", recorded)
+        for group in (s3_group, rotation_c4, signed_permutations_d2):
+            for n in range(1, 5):
+                invariant_basis(group, n)
+        assert rows
+        assert all(type(c) is int for row in rows for c in row.values())
+
     def test_permutation_action_stays_integral(self):
         monomial = YZPolynomial.monomial(3, (2, 0, 1), (0, 1, 0))
         image = act_bulk(permutation_matrix((2, 0, 1)), monomial)

@@ -20,7 +20,13 @@ so no expected value is written down by hand:
   * subgroups: H <= G has at least G's invariants in each degree, and G's
     basis lies in H's span.  H is generated by G's first generator, or by its
     square when G has one generator; it is a proper subgroup of 16 of the 20
-    groups.
+    groups;
+  * bigraded blocks: each invariant of degree n lies in one bidegree block
+    (a, n - a), and the block holds
+        (1/|G|) sum_g h_a(g) h_(n-a)(g)
+    of the basis rows, where h_k(g) is the t^k coefficient of 1/det(1 - g t)
+    (the Molien series of K[Y, Z] = K[Y] (x) K[Z], read by bidegree).  This
+    one is checked on the acceptance catalogue, D_6 and a conjugate of S_3.
 
 The groups are seeded subgroups of the signed permutations B_3 and B_4,
 generated by one or two elements, plus D_6 and C_4 in rank 2.
@@ -32,6 +38,7 @@ conjugates, and the integer closure and `char_coefficients` with their
 `Fraction` oracles, on each group and its conjugate.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
@@ -53,7 +60,9 @@ from bicomm import (
     molien_classic,
     permutation_matrix,
 )
+from bicomm.algebra_core import monomial_table
 from bicomm.group_action import adjacent_transpositions
+from bicomm.hilbert import char_classes
 from bicomm.invariants import EchelonBasis, element_to_row
 from conftest import is_identity
 
@@ -261,3 +270,35 @@ class TestLaws:
             assert span.dimension >= len(basis), n
             for element in basis:
                 assert not span.reduce(element_to_row(element, n)), n
+
+
+def block_dimensions(group: FiniteGroup, n: int) -> list[Fraction]:
+    """(1/|G|) sum_g h_a(g) h_(n-a)(g) for a = 0..n, one term per class of
+    `char_classes`; h_k(g) is the t^k coefficient of 1/det(1 - g t)."""
+    totals = [0] * (n + 1)
+    for det, count in char_classes(group):
+        h = UniPoly.one().taylor(det, n + 1)
+        for a in range(n + 1):
+            totals[a] += count * h[a] * h[n - a]
+    return [Fraction(total, group.order) for total in totals]
+
+
+def test_invariants_fill_the_bigraded_blocks(catalogue, dihedral_d6, s3_conjugated):
+    """Degree 1 is the block (0, 1) of the generators, whose dimension is also
+    the trace average; degree n >= 2 has the blocks (a, n - a), 0 < a < n."""
+    cases = [(name, group, 5 if group.rank <= 2 else 4) for name, group in catalogue]
+    cases += [("D_6", dihedral_d6, 6), ("S_3^P", s3_conjugated, 4)]
+    for name, group, top in cases:
+        for n in range(1, top + 1):
+            keys = monomial_table(group.rank, n).keys
+            pivots: Counter[int] = Counter()
+            for element in invariant_basis(group, n):
+                row = element_to_row(element, n)
+                assert len({sum(keys[c][0]) for c in row}) == 1, (name, n, str(element))
+                pivots[sum(keys[min(row)][0])] += 1
+            blocks = [0] if n == 1 else list(range(1, n))
+            expected = block_dimensions(group, n)
+            assert set(pivots) <= set(blocks), (name, n)
+            assert [pivots[a] for a in blocks] == [expected[a] for a in blocks], (name, n)
+            if n == 1:
+                assert pivots[0] == group.average(RationalMatrix.trace), name
