@@ -25,6 +25,13 @@ z_i and the bulk is kept as it is.  The group acts on the y_j and z_j as on
 the x_j, so the lift turns sums, coordinates and group averages into those
 of polynomials; only the product needs the x_i back, as y_i on the left
 (`left_factor`).
+
+A monomial y^a z^b is stored as one `int` key (`pack`): the exponent of
+y_(i+1) in bits [16i, 16i + 16), that of z_(j+1) in bits [16(d + j),
+16(d + j) + 16), and the total degree above bit 32d, in a field with no
+width limit.  Keys order by degree first, and the key of a product is the
+sum of the keys, which `YZPolynomial.__mul__` keeps exact by refusing any
+product of degree 2^16 or more.  `unpack` gives the exponent tuples back.
 """
 
 from __future__ import annotations
@@ -39,7 +46,32 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
+_WIDTH = 16
+_LIMIT = 1 << _WIDTH
 
+
+def pack(d: int, alpha: Exponents, beta: Exponents) -> int:
+    """The packed key of y^alpha z^beta in rank d; each exponent in 0..2^16 - 1."""
+    if len(alpha) != d or len(beta) != d:
+        raise ValueError(f"exponent tuples must have length {d}")
+    key = 0
+    for i, e in enumerate((*alpha, *beta)):
+        if not 0 <= e < _LIMIT:
+            raise ValueError(f"exponent {e} out of range 0..{_LIMIT - 1}")
+        key |= e << _WIDTH * i
+    return key | (sum(alpha) + sum(beta)) << 2 * _WIDTH * d
+
+
+def unpack(d: int, key: int) -> TermKey:
+    """The (y-exponents, z-exponents) of a packed rank-d key."""
+    exps = [key >> _WIDTH * i & _LIMIT - 1 for i in range(2 * d)]
+    return tuple(exps[:d]), tuple(exps[d:])
+
+
+def _masks(d: int) -> tuple[int, int]:
+    """The y field and the z field of a packed rank-d key."""
+    y_mask = (1 << _WIDTH * d) - 1
+    return y_mask, y_mask << _WIDTH * d
 
 
 def _exact(value):
@@ -90,7 +122,8 @@ def power_by_squaring(base, exponent: int, one):
 
 
 def term_sort_key(key: TermKey) -> tuple:
-    """Canonical monomial order used for bases, row reduction and printing.
+    """Canonical order of unpacked keys: that of `monomial_table` (so of
+    bases and row reduction) and of printing.
 
     Sorts by total degree, then y-degree, then y-exponents descending-lex,
     then z-exponents descending-lex.  Within one homogeneous component this
@@ -156,16 +189,16 @@ class ExactArithmetic:
 class YZPolynomial(ExactArithmetic):
     """Sparse exact polynomial in the 2d commuting variables y_1..y_d, z_1..z_d.
 
-    `terms` maps (y-exponents, z-exponents) to a nonzero `int` or `Fraction`
-    (they compare, hash and print alike).  Instances
-    are immutable by convention: arithmetic always allocates fresh term
+    `terms` maps packed monomial keys (`pack`) to a nonzero `int` or
+    `Fraction` (they compare, hash and print alike).  Instances are
+    immutable by convention: arithmetic always allocates fresh term
     dictionaries and never touches its operands.  The plain constructor
-    trusts its input to be canonical (no zero coefficients, exponent tuples
-    of length `rank`).
+    trusts its input to be canonical (no zero coefficients, keys packed for
+    `rank`).
     """
 
     rank: int
-    terms: dict[TermKey, int | Fraction]
+    terms: dict[int, int | Fraction]
 
     @classmethod
     def zero(cls, rank: int) -> "YZPolynomial":
@@ -174,8 +207,7 @@ class YZPolynomial(ExactArithmetic):
     @classmethod
     def constant(cls, rank: int, value: int | Fraction) -> "YZPolynomial":
         value = _exact(value)
-        zeros = (0,) * rank
-        return cls(rank, {(zeros, zeros): value} if value else {})
+        return cls(rank, {0: value} if value else {})
 
     @classmethod
     def variable(cls, rank: int, alphabet: str, index: int) -> "YZPolynomial":
@@ -196,12 +228,13 @@ class YZPolynomial(ExactArithmetic):
         if alphabet not in ("y", "z"):
             raise ValueError(f"alphabet must be 'y' or 'z', got {alphabet!r}")
         rank = len(coeffs)
-        zeros = (0,) * rank
-        terms: dict[TermKey, int | Fraction] = {}
-        for i, coeff in enumerate(coeffs):
-            if coeff:
-                unit = indicator(rank, (i,))
-                terms[(unit, zeros) if alphabet == "y" else (zeros, unit)] = coeff
+        first = 0 if alphabet == "y" else rank
+        degree_one = 1 << 2 * _WIDTH * rank
+        terms = {
+            degree_one | 1 << _WIDTH * (first + i): coeff
+            for i, coeff in enumerate(coeffs)
+            if coeff
+        }
         return cls(rank, terms)
 
     @classmethod
@@ -215,7 +248,7 @@ class YZPolynomial(ExactArithmetic):
         coeff = _exact(coeff)
         if not coeff:
             return cls.zero(rank)
-        return cls(rank, {(tuple(alpha), tuple(beta)): coeff})
+        return cls(rank, {pack(rank, tuple(alpha), tuple(beta)): coeff})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -243,13 +276,15 @@ class YZPolynomial(ExactArithmetic):
     def __mul__(self, other):
         if isinstance(other, YZPolynomial):
             self._check_rank(other)
-            out: dict[TermKey, int | Fraction] = {}
-            for (a1, b1), c1 in self.terms.items():
-                for (a2, b2), c2 in other.terms.items():
-                    key = (
-                        tuple(x + y for x, y in zip(a1, a2)),
-                        tuple(x + y for x, y in zip(b1, b2)),
-                    )
+            # Every exponent is at most the degree, so below 2^16 no field carries.
+            shift = 2 * _WIDTH * self.rank
+            d1, d2 = max(self.terms, default=0) >> shift, max(other.terms, default=0) >> shift
+            if d1 + d2 >= _LIMIT:
+                raise ValueError(f"product of degree {d1 + d2} exceeds the limit {_LIMIT - 1}")
+            out: dict[int, int | Fraction] = {}
+            for k1, c1 in self.terms.items():
+                for k2, c2 in other.terms.items():
+                    key = k1 + k2
                     total = out.get(key, 0) + c1 * c2
                     if total:
                         out[key] = total
@@ -267,14 +302,19 @@ class YZPolynomial(ExactArithmetic):
 
     def homogeneous_degree(self) -> int | None:
         """The common total degree of all terms, or None if mixed or zero."""
-        degrees = {sum(a) + sum(b) for a, b in self.terms}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
+        if not self.terms:
+            return None
+        shift = 2 * _WIDTH * self.rank
+        low, high = min(self.terms) >> shift, max(self.terms) >> shift
+        return low if low == high else None
+
+    def ordered_terms(self) -> list[tuple[TermKey, int | Fraction]]:
+        """(unpacked key, coefficient) pairs in the order of `term_sort_key`."""
+        pairs = ((unpack(self.rank, k), c) for k, c in self.terms.items())
+        return sorted(pairs, key=lambda pair: term_sort_key(pair[0]))
 
     def __str__(self) -> str:
-        ordered = sorted(self.terms, key=term_sort_key)
-        return format_terms([(self.terms[k], _format_monomial(k)) for k in ordered])
+        return format_terms([(c, _format_monomial(k)) for k, c in self.ordered_terms()])
 
     def __repr__(self) -> str:
         return f"YZPolynomial(d={self.rank}: {self})"
@@ -407,15 +447,20 @@ class UniPoly(ExactArithmetic):
 
 def left_factor(lift: YZPolynomial) -> YZPolynomial:
     """A lift as the left factor of a product: each generator z_i becomes y_i."""
-    terms = {(a, b) if any(a) else (b, a): c for (a, b), c in lift.terms.items()}
+    y_mask, z_mask = _masks(lift.rank)
+    half = _WIDTH * lift.rank
+    terms = {
+        k if k & y_mask else k - (k & z_mask) + ((k & z_mask) >> half): c
+        for k, c in lift.terms.items()
+    }
     return YZPolynomial(lift.rank, terms)
 
 
-def _in_model(key: TermKey) -> bool:
-    """Whether a lift key is a monomial of the model: a generator z_i, or a
-    bulk monomial with at least one y and one z factor."""
-    alpha, beta = key
-    return any(beta) and (any(alpha) or sum(beta) == 1)
+def _in_model(d: int, key: int) -> bool:
+    """Whether a rank-d lift key is a monomial of the model: a generator z_i,
+    or a bulk monomial with at least one y and one z factor."""
+    y_mask, z_mask = _masks(d)
+    return bool(key & z_mask and (key & y_mask or key >> 2 * _WIDTH * d == 1))
 
 
 @dataclass(frozen=True)
@@ -433,7 +478,7 @@ class BicommElement(ExactArithmetic):
     def __post_init__(self) -> None:
         if self.lift.rank != self.rank:
             raise ValueError("lift has mismatched rank")
-        if not all(map(_in_model, self.lift.terms)):
+        if not all(_in_model(self.rank, key) for key in self.lift.terms):
             raise ValueError("lift term is neither a z_i nor a bulk monomial")
 
     @classmethod
@@ -452,7 +497,8 @@ class BicommElement(ExactArithmetic):
 
     @classmethod
     def from_bulk(cls, poly: YZPolynomial) -> "BicommElement":
-        if not all(any(key[0]) and _in_model(key) for key in poly.terms):
+        y_mask = _masks(poly.rank)[0]
+        if not all(key & y_mask and _in_model(poly.rank, key) for key in poly.terms):
             raise ValueError("bulk part contains a monomial missing a y or z factor")
         return cls(poly.rank, poly)
 
@@ -465,8 +511,9 @@ class BicommElement(ExactArithmetic):
     @property
     def bulk(self) -> YZPolynomial:
         """The terms of degree >= 2."""
+        y_mask = _masks(self.rank)[0]
         terms = self.lift.terms
-        return YZPolynomial(self.rank, {k: c for k, c in terms.items() if any(k[0])})
+        return YZPolynomial(self.rank, {k: c for k, c in terms.items() if k & y_mask})
 
     def __bool__(self) -> bool:
         return bool(self.lift)
@@ -502,10 +549,10 @@ class BicommElement(ExactArithmetic):
 
     def __str__(self) -> str:
         parts: list[tuple[Fraction, str]] = []
-        for key in sorted(self.lift.terms, key=term_sort_key):
+        for key, coeff in self.lift.ordered_terms():
             alpha, beta = key
             symbol = _format_monomial(key) if any(alpha) else f"x{beta.index(1) + 1}"
-            parts.append((self.lift.terms[key], symbol))
+            parts.append((coeff, symbol))
         return format_terms(parts)
 
     def __repr__(self) -> str:
@@ -513,11 +560,11 @@ class BicommElement(ExactArithmetic):
 
 
 class MonomialTable(NamedTuple):
-    """The degree-n monomial keys of K[Y_d, Z_d] in canonical order, and the
-    position of each key."""
+    """The degree-n packed monomial keys of K[Y_d, Z_d] in canonical order,
+    and the position of each key."""
 
-    keys: tuple[TermKey, ...]
-    index: dict[TermKey, int]
+    keys: tuple[int, ...]
+    index: dict[int, int]
 
 
 @lru_cache(maxsize=None)
@@ -526,7 +573,7 @@ def monomial_table(d: int, n: int) -> MonomialTable:
     elements included.  It is cached and shared: callers must not mutate it.
     """
     keys = tuple(
-        (alpha, beta)
+        pack(d, alpha, beta)
         for a in range(n + 1)
         for alpha in compositions(a, d)
         for beta in compositions(n - a, d)
@@ -547,7 +594,7 @@ def basis_component(d: int, n: int) -> list[BicommElement]:
     return [
         BicommElement(d, YZPolynomial(d, {key: 1}))
         for key in monomial_table(d, n).keys
-        if _in_model(key)
+        if _in_model(d, key)
     ]
 
 
@@ -577,11 +624,11 @@ def random_element(rng: Random, d: int) -> BicommElement:
     Used by the identity checks: exact equalities over random inputs.
     """
     linear = tuple(rng.randint(-2, 2) for _ in range(d))
-    terms: dict[TermKey, Fraction] = {}
+    terms: dict[int, Fraction] = {}
     for _ in range(rng.randint(0, 3)):
         n = rng.randint(2, 4)
         a = rng.randint(1, n - 1)
-        key = (_random_exponents(rng, a, d), _random_exponents(rng, n - a, d))
+        key = pack(d, _random_exponents(rng, a, d), _random_exponents(rng, n - a, d))
         coeff = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
         if coeff:
             terms[key] = coeff

@@ -28,7 +28,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .algebra_core import BicommElement, dim_component, random_element, term_sort_key
+from .algebra_core import BicommElement, dim_component, random_element
 from .group_action import (
     DEFAULT_CLOSURE_CAP,
     CapExceededError,
@@ -95,16 +95,11 @@ def _series_payload(series: TruncatedSeries) -> list[str]:
 
 
 def _element_payload(element: BicommElement) -> dict:
-    ordered = sorted(element.bulk.terms, key=term_sort_key)
     return {
         "linear": [format_rational(c) for c in element.linear],
         "terms": [
-            {
-                "alpha": list(alpha),
-                "beta": list(beta),
-                "coeff": format_rational(element.bulk.terms[(alpha, beta)]),
-            }
-            for alpha, beta in ordered
+            {"alpha": list(alpha), "beta": list(beta), "coeff": format_rational(coeff)}
+            for (alpha, beta), coeff in element.bulk.ordered_terms()
         ],
         "text": str(element),
     }

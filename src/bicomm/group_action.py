@@ -33,7 +33,7 @@ from functools import lru_cache, reduce
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .algebra_core import BicommElement, UniPoly, YZPolynomial, _exact, power_by_squaring
+from .algebra_core import BicommElement, UniPoly, YZPolynomial, _exact, power_by_squaring, unpack
 
 DEFAULT_CLOSURE_CAP = 100_000
 
@@ -399,9 +399,9 @@ def act_bulk(g: RationalMatrix, poly: YZPolynomial) -> YZPolynomial:
     if g.size != d:
         raise ValueError("rank mismatch between matrix and polynomial")
     total = YZPolynomial.zero(d)
-    for (alpha, beta), coeff in poly.terms.items():
+    for key, coeff in poly.terms.items():
         term = YZPolynomial.constant(d, coeff)
-        for alphabet, exponents in (("y", alpha), ("z", beta)):
+        for alphabet, exponents in zip("yz", unpack(d, key)):
             for j, e in enumerate(exponents):
                 if e:
                     term = term * g._column_power(alphabet, j, e)

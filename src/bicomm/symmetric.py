@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 
-from .algebra_core import YZPolynomial, indicator
+from .algebra_core import YZPolynomial, indicator, pack
 from .group_action import symmetric_group
 from .hilbert import expand, molien_bicomm
 from .invariants import EchelonBasis, add_products, coefficient_spans
@@ -27,7 +27,7 @@ def _disjoint_products(d: int, p: int, q: int) -> YZPolynomial:
         alpha = indicator(d, i_set)
         remaining = [j for j in range(d) if j not in i_set]
         for j_set in combinations(remaining, q):
-            terms[(alpha, indicator(d, j_set))] = 1
+            terms[pack(d, alpha, indicator(d, j_set))] = 1
     return YZPolynomial(d, terms)
 
 

@@ -13,7 +13,7 @@ from bicomm import (
     symmetric_group,
     trivial_group,
 )
-from bicomm.algebra_core import BicommElement, basis_component
+from bicomm.algebra_core import BicommElement, YZPolynomial, basis_component, pack, unpack
 from bicomm.group_action import adjacent_transpositions, reynolds
 from bicomm.invariants import (
     EchelonBasis,
@@ -27,6 +27,50 @@ from bicomm.invariants import (
 
 def is_identity(matrix):
     return matrix == RationalMatrix.identity(matrix.size)
+
+
+def tuple_terms(poly):
+    """`poly.terms` keyed by (y-exponents, z-exponents), as before packing."""
+    return {unpack(poly.rank, key): c for key, c in poly.terms.items()}
+
+
+def from_tuple_terms(d, terms):
+    return YZPolynomial(d, {pack(d, *key): c for key, c in terms.items()})
+
+
+def tuple_product(p, q):
+    """The product of two tuple-keyed term dicts by the exponent-tuple loop
+    that packed keys replace in `YZPolynomial.__mul__`, kept as its oracle."""
+    out = {}
+    for (a1, b1), c1 in p.items():
+        for (a2, b2), c2 in q.items():
+            key = (
+                tuple(x + y for x, y in zip(a1, a2)),
+                tuple(x + y for x, y in zip(b1, b2)),
+            )
+            total = out.get(key, 0) + c1 * c2
+            if total:
+                out[key] = total
+            else:
+                out.pop(key, None)
+    return out
+
+
+def tuple_left_factor(terms):
+    """`left_factor` on tuple keys: a key with no y factor swaps alphabets."""
+    return {(a, b) if any(a) else (b, a): c for (a, b), c in terms.items()}
+
+
+def tuple_in_model(key):
+    """`_in_model` on a tuple key: a generator z_i, or has a y and a z factor."""
+    alpha, beta = key
+    return any(beta) and (any(alpha) or sum(beta) == 1)
+
+
+def tuple_homogeneous_degree(terms):
+    """`homogeneous_degree` on tuple keys: the one total degree, or None."""
+    degrees = {sum(a) + sum(b) for a, b in terms}
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 def _product_span(spans: dict[int, list[BicommElement]], n: int) -> EchelonBasis:

@@ -133,6 +133,10 @@ def test_criterion_07_integral_dependence_certificates(catalogue):
     cases = [
         ("S_2 d=2", ("y1", "y2", "z1", "z2")),
         ("negation d=1", ("y1", "z1")),
+        # Order 8 and 6: coefficients of degree up to 8, and substitute_self
+        # multiplies powers of the variable up to its 8th and 6th.
+        ("signed permutations d=2", ("y1", "y2", "z1", "z2")),
+        ("S_3 d=3", ("y1", "y3", "z2")),
     ]
     for name, variables in cases:
         group = groups[name]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,7 +14,15 @@ from bicomm import (
     dim_component,
     random_element,
 )
-from bicomm.algebra_core import term_sort_key
+from bicomm.algebra_core import _in_model, left_factor, pack, term_sort_key, unpack
+from conftest import (
+    from_tuple_terms,
+    tuple_homogeneous_degree,
+    tuple_in_model,
+    tuple_left_factor,
+    tuple_product,
+    tuple_terms,
+)
 
 
 def mono(d, alpha, beta, coeff=1):
@@ -27,14 +36,15 @@ def bulk(d, alpha, beta, coeff=1):
 def naive_product(p, q):
     """Term-by-term multiplication oracle, independent of the library path."""
     out = {}
-    for (a1, b1), c1 in p.terms.items():
-        for (a2, b2), c2 in q.terms.items():
+    for k1, c1 in p.terms.items():
+        for k2, c2 in q.terms.items():
+            (a1, b1), (a2, b2) = unpack(p.rank, k1), unpack(q.rank, k2)
             key = (
                 tuple(x + y for x, y in zip(a1, a2)),
                 tuple(x + y for x, y in zip(b1, b2)),
             )
             out[key] = out.get(key, Fraction(0)) + c1 * c2
-    return YZPolynomial(p.rank, {k: c for k, c in out.items() if c})
+    return YZPolynomial(p.rank, {pack(p.rank, *k): c for k, c in out.items() if c})
 
 
 class TestPolynomialArithmetic:
@@ -76,6 +86,99 @@ class TestPolynomialArithmetic:
         p = mono(1, (1,), (0,)) + mono(1, (0,), (1,))  # y1 + z1
         assert p**2 == mono(1, (2,), (0,)) + 2 * mono(1, (1,), (1,)) + mono(1, (0,), (2,))
         assert p**0 == YZPolynomial.constant(1, 1)
+
+
+def random_tuple_terms(rng, d, coefficient):
+    """Up to six terms of degree 0..6 keyed by exponent tuples; half the time
+    all of one degree."""
+    degree = rng.randint(0, 6) if rng.random() < 0.5 else None
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        exps = [0] * (2 * d)
+        for _ in range(rng.randint(0, 6) if degree is None else degree):
+            exps[rng.randrange(2 * d)] += 1
+        if coeff := coefficient(rng):
+            terms[(tuple(exps[:d]), tuple(exps[d:]))] = coeff
+    return terms
+
+
+COEFFICIENTS = {
+    "int": lambda rng: rng.randint(-3, 3),
+    "Fraction": lambda rng: Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+}
+
+
+def typed(terms):
+    return {key: (c, type(c)) for key, c in terms.items()}
+
+
+@pytest.mark.parametrize("kind", sorted(COEFFICIENTS))
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+class TestPackedKeysMatchTupleOracle:
+    """Packed keys against the exponent-tuple code they replace (conftest)."""
+
+    def pairs(self, d, kind):
+        rng = random.Random(f"{d}{kind}")
+        for _ in range(40):
+            p, q = (random_tuple_terms(rng, d, COEFFICIENTS[kind]) for _ in range(2))
+            yield p, q, from_tuple_terms(d, p), from_tuple_terms(d, q)
+
+    def test_product(self, d, kind):
+        for p, q, packed_p, packed_q in self.pairs(d, kind):
+            assert typed(tuple_terms(packed_p * packed_q)) == typed(tuple_product(p, q))
+
+    def test_left_factor(self, d, kind):
+        for p, _, packed_p, _ in self.pairs(d, kind):
+            assert tuple_terms(left_factor(packed_p)) == tuple_left_factor(p)
+
+    def test_homogeneous_degree(self, d, kind):
+        for p, _, packed_p, _ in self.pairs(d, kind):
+            assert packed_p.homogeneous_degree() == tuple_homogeneous_degree(p)
+
+    def test_in_model(self, d, kind):
+        for p, _, _, _ in self.pairs(d, kind):
+            for key in p:
+                assert _in_model(d, pack(d, *key)) == tuple_in_model(key), key
+
+
+class TestPackedKeyLimits:
+    TOP = 2**16 - 1
+
+    def test_pack_round_trips_extreme_exponents_at_rank_16(self):
+        d = 16
+        rng = random.Random(16)
+        cases = [(0,) * 32, (self.TOP,) * 32]
+        cases += [tuple(rng.choice((0, self.TOP)) for _ in range(32)) for _ in range(50)]
+        for exps in cases:
+            alpha, beta = exps[:d], exps[d:]
+            key = pack(d, alpha, beta)
+            assert unpack(d, key) == (alpha, beta)
+            assert YZPolynomial(d, {key: 1}).homogeneous_degree() == sum(exps)
+
+    def test_product_reaching_degree_2_16_raises(self):
+        half = mono(1, (2**15,), (0,))
+        with pytest.raises(ValueError, match="degree 65536"):
+            half * half
+        y1, z2 = YZPolynomial.variable(2, "y", 1), YZPolynomial.variable(2, "z", 2)
+        below = mono(2, (self.TOP - 1, 0), (0, 0)) * y1
+        assert tuple_terms(below) == {((self.TOP, 0), (0, 0)): 1}
+        with pytest.raises(ValueError, match="degree 65536"):
+            below * y1
+        with pytest.raises(ValueError, match="degree 65536"):
+            mono(2, (0, 0), (0, self.TOP)) * z2
+
+    @pytest.mark.parametrize("bad", [-1, 2**16])
+    def test_monomial_rejects_exponents_outside_a_field(self, bad):
+        for alpha, beta in product([(bad, 0), (0, 1)], repeat=2):
+            if bad in alpha + beta:
+                with pytest.raises(ValueError, match="out of range"):
+                    YZPolynomial.monomial(2, alpha, beta)
+
+    def test_monomial_rejects_exponent_tuples_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="length 2"):
+            YZPolynomial.monomial(2, (1,), (0, 1))
+        with pytest.raises(ValueError, match="length 2"):
+            YZPolynomial.monomial(2, (1, 0), (0, 1, 0))
 
 
 class TestCoefficientTypes:
@@ -258,7 +361,7 @@ class TestBases:
     def test_enumeration_follows_canonical_order(self):
         for d in (1, 2, 3):
             for n in (2, 3, 4, 5):
-                keys = [next(iter(b.lift.terms)) for b in basis_component(d, n)]
+                keys = [unpack(d, next(iter(b.lift.terms))) for b in basis_component(d, n)]
                 assert keys == sorted(keys, key=term_sort_key)
                 assert len(set(keys)) == len(keys)
 

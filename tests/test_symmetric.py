@@ -13,7 +13,7 @@ from bicomm import (
     symmetric_module_generators,
     verify_d2_identity,
 )
-from bicomm.algebra_core import monomial_table
+from bicomm.algebra_core import monomial_table, pack, unpack
 from bicomm.group_action import adjacent_transpositions
 from bicomm.invariants import EchelonBasis, coefficient_spans, poly_to_row
 from bicomm.symmetric import module_candidates
@@ -32,7 +32,7 @@ def full_two_alphabet_invariant_dimension(d, n):
     for key in keys:
         averaged = YZPolynomial.zero(d)
         for g in group.elements:
-            averaged = averaged + act_bulk(g, YZPolynomial.monomial(d, *key))
+            averaged = averaged + act_bulk(g, YZPolynomial.monomial(d, *unpack(d, key)))
         basis.add({index[k]: c for k, c in averaged.terms.items()})
     return basis.dimension
 
@@ -125,7 +125,7 @@ class TestRankTwoIdentity:
 
     def test_lhs_contains_expected_square(self):
         report = verify_d2_identity()
-        assert report.lhs.terms[((2, 0), (0, 2))] == Fraction(1)  # y1^2 z2^2
+        assert report.lhs.terms[pack(2, (2, 0), (0, 2))] == Fraction(1)  # y1^2 z2^2
         assert report.lhs == report.rhs
 
 
