@@ -619,18 +619,18 @@ def _random_exponents(rng: Random, total: int, parts: int) -> Exponents:
 
 def random_element(rng: Random, d: int) -> BicommElement:
     """A sparse random element with small rational coefficients: up to three
-    bulk terms of degree 2..4.
+    bulk terms of degree 2..4.  Integral coefficients are `int`s.
 
     Used by the identity checks: exact equalities over random inputs.
     """
     linear = tuple(rng.randint(-2, 2) for _ in range(d))
-    terms: dict[int, Fraction] = {}
+    terms: dict[int, int | Fraction] = {}
     for _ in range(rng.randint(0, 3)):
         n = rng.randint(2, 4)
         a = rng.randint(1, n - 1)
         key = pack(d, _random_exponents(rng, a, d), _random_exponents(rng, n - a, d))
         coeff = Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2)))
         if coeff:
-            terms[key] = coeff
+            terms[key] = coeff.numerator if coeff.denominator == 1 else coeff
     bulk = BicommElement.from_bulk(YZPolynomial(d, terms))
     return BicommElement.from_linear(d, linear) + bulk

@@ -33,7 +33,8 @@ from functools import lru_cache, reduce
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .algebra_core import BicommElement, UniPoly, YZPolynomial, _exact, power_by_squaring, unpack
+from .algebra_core import BicommElement, UniPoly, YZPolynomial, _exact, power_by_squaring
+from .algebra_core import _WIDTH, _masks
 
 DEFAULT_CLOSURE_CAP = 100_000
 
@@ -61,11 +62,11 @@ class RationalMatrix:
     factor common to all of them.  Equality and hashing read that form, and
     a product is one integer product, reduced once.  `entries`, the rows of
     values (`int`s when the common denominator is 1, `Fraction`s otherwise),
-    is worked out from it when read.  The powers of its columns as linear
-    forms, which `act_bulk` reads, are built on first use and kept.
+    is worked out from it when read.  The images of one-alphabet monomials,
+    which `act_bulk` reads, are built on first use and kept.
     """
 
-    __slots__ = ("size", "_numerators", "_denominator", "_hash", "_powers")
+    __slots__ = ("size", "_numerators", "_denominator", "_hash", "_images")
 
     def __init__(self, entries) -> None:
         # An entry is an int, a Fraction or a group-file literal such as "2/4".
@@ -85,7 +86,7 @@ class RationalMatrix:
         set_slot(self, "_numerators", numerators)
         set_slot(self, "_denominator", denominator)
         set_slot(self, "_hash", hash((numerators, denominator)))
-        set_slot(self, "_powers", {})
+        set_slot(self, "_images", {})
 
     @classmethod
     def _reduced(cls, d: int, numerators: list[int], denominator: int) -> "RationalMatrix":
@@ -107,16 +108,31 @@ class RationalMatrix:
         values = self._numerators if q == 1 else [Fraction(n, q) for n in self._numerators]
         return tuple(tuple(values[i : i + d]) for i in range(0, d * d, d))
 
-    def _column_power(self, alphabet: str, j: int, e: int) -> YZPolynomial:
-        """l^e for l = sum_i self[i][j] y_i (alphabet "y"), or the same in z;
-        built as l^(e-1) l and kept, so each power is expanded once."""
-        powers = self._powers.setdefault((alphabet, j), [])
-        if not powers:
-            column = act_linear(self, [int(i == j) for i in range(self.size)])
-            powers.append(YZPolynomial.linear(alphabet, column))
-        while len(powers) < e:
-            powers.append(powers[-1] * powers[0])
-        return powers[e - 1]
+    def _image(self, part: int) -> YZPolynomial:
+        """The image of the one-alphabet monomial `part` (packed exponent
+        fields, no degree field): 1 for part 0, the `act_linear` column for a
+        variable, else image(part / v) * image(v) for v the variable of its
+        lowest nonzero field.  Each is built once, with one product, and kept;
+        a loop, not recursion, walks down to the nearest kept image."""
+        images = self._images
+        if not images:
+            images[0] = YZPolynomial.constant(self.size, 1)
+        missing = []
+        while part not in images:
+            field = ((part & -part).bit_length() - 1) // _WIDTH
+            missing.append((part, field))
+            part -= 1 << _WIDTH * field
+        image = images[part]
+        for part, field in reversed(missing):
+            v = 1 << _WIDTH * field
+            if v not in images:
+                d = self.size
+                column = act_linear(self, [int(i == field % d) for i in range(d)])
+                images[v] = YZPolynomial.linear("yz"[field // d], column)
+            if part != v:
+                images[part] = image * images[v]
+            image = images[part]
+        return image
 
     def _rows(self) -> list[tuple[int, ...]]:
         d, a = self.size, self._numerators
@@ -392,21 +408,23 @@ def act_linear(g: RationalMatrix, coeffs: Sequence[int | Fraction]) -> tuple[int
 def act_bulk(g: RationalMatrix, poly: YZPolynomial) -> YZPolynomial:
     """Simultaneous substitution y_j -> sum_i g[i][j] y_i, z_j likewise.
 
-    Exact expansion; preserves the bidegree of homogeneous inputs.  The
-    powers of the columns come from `g._column_power`, once per matrix.
+    Exact expansion; preserves the bidegree of homogeneous inputs.  Each term
+    adds coeff * image(y part) * image(z part), from `g._image`, to a fresh
+    polynomial, so no kept image is handed out.
     """
     d = poly.rank
     if g.size != d:
         raise ValueError("rank mismatch between matrix and polynomial")
-    total = YZPolynomial.zero(d)
+    y_mask, z_mask = _masks(d)
+    out: dict[int, int | Fraction] = {}
     for key, coeff in poly.terms.items():
-        term = YZPolynomial.constant(d, coeff)
-        for alphabet, exponents in zip("yz", unpack(d, key)):
-            for j, e in enumerate(exponents):
-                if e:
-                    term = term * g._column_power(alphabet, j, e)
-        total = total + term
-    return total
+        for k, c in (g._image(key & y_mask) * g._image(key & z_mask)).terms.items():
+            total = out.get(k, 0) + coeff * c
+            if total:
+                out[k] = total
+            else:
+                out.pop(k, None)
+    return YZPolynomial(d, out)
 
 
 def act(g: RationalMatrix, element: BicommElement) -> BicommElement:

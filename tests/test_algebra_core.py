@@ -223,6 +223,14 @@ class TestCoefficientTypes:
         quotient, remainder = divmod(p, UniPoly([3, 0, 1]))
         assert all(type(c) is int for c in quotient.coeffs + remainder.coeffs)
 
+    def test_random_element_coefficients_are_int_when_integral(self):
+        rng = random.Random(41)
+        coeffs = [
+            c for _ in range(200) for c in random_element(rng, 2).lift.terms.values()
+        ]
+        assert any(type(c) is Fraction for c in coeffs)
+        assert all(type(c) is int for c in coeffs if c.denominator == 1)
+
 
 class TestBicommProduct:
     def test_generator_product(self):

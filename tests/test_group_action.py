@@ -378,7 +378,8 @@ class TestAction:
                 assert act(g, a * b) == act(g, a) * act(g, b)
 
     def test_second_action_builds_no_new_linear_form(self, monkeypatch):
-        """The matrix keeps its column powers, so a second call rebuilds none."""
+        """The matrix keeps its monomial images, so a second call rebuilds no
+        linear form: one per variable that the input's monomials hold."""
         g = RationalMatrix([[Fraction(1, 2), 1], [-1, Fraction(2, 3)]])
         poly = YZPolynomial.monomial(2, (2, 1), (0, 3))
         expected = substitution_oracle(g, poly)
@@ -394,6 +395,53 @@ class TestAction:
         assert sorted(built) == ["y", "y", "z"]
         assert act_bulk(g, poly) == expected
         assert len(built) == 3
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[Fraction(1, 9), 2], [Fraction(-3, 7), Fraction(5, 8)]],
+            [[1, Fraction(1, 2), 0], [Fraction(2, 3), -1, Fraction(1, 9)], [0, 1, Fraction(4, 5)]],
+        ],
+    )
+    def test_one_alphabet_and_mixed_keys_match_substitution_oracle(self, rows):
+        """The constant key, pure-y, pure-z and mixed keys, with int and
+        Fraction coefficients; the second pass reads the filled cache."""
+        g = RationalMatrix(rows)
+        d = g.size
+        exponents = [(0,) * d, (2,) + (0,) * (d - 1), (1,) * d, (0,) * (d - 1) + (3,)]
+        polys = [
+            YZPolynomial.monomial(d, alpha, beta, coeff)
+            for alpha in exponents
+            for beta in exponents
+            for coeff in (1, -3, Fraction(5, 2))
+        ]
+        polys.append(sum(polys, YZPolynomial.zero(d)))
+        expected = [substitution_oracle(g, poly) for poly in polys]
+        assert [act_bulk(g, poly) for poly in polys] == expected
+        cached = dict(g._images)
+        assert [act_bulk(g, poly) for poly in polys] == expected
+        assert g._images == cached
+
+    def test_results_share_no_terms_with_the_cache(self):
+        """A result is a fresh polynomial: mutating it changes no later result."""
+        g = RationalMatrix([[Fraction(1, 2), 1], [-1, Fraction(2, 3)]])
+        polys = [
+            YZPolynomial.constant(2, 1),
+            YZPolynomial.variable(2, "y", 1),
+            YZPolynomial.monomial(2, (2, 0), (0, 0)),
+            YZPolynomial.monomial(2, (0, 0), (1, 1)),
+            YZPolynomial.monomial(2, (1, 1), (0, 2)),
+        ]
+        expected = [substitution_oracle(g, poly) for poly in polys]
+        for poly in polys:
+            act_bulk(g, poly).terms.clear()
+            act_bulk(g, poly).terms[0] = 7
+        assert [act_bulk(g, poly) for poly in polys] == expected
+
+    def test_long_monomial_builds_without_deep_recursion(self):
+        """A chain of images longer than the recursion limit is built in a loop."""
+        poly = YZPolynomial.monomial(1, (1500,), (2,))
+        assert act_bulk(diagonal_matrix([-1]), poly) == poly
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError):

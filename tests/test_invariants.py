@@ -15,6 +15,7 @@ from bicomm import (
     dim_component,
     elementary_symmetric,
     expand,
+    group_closure,
     integral_dependence_polynomial,
     invariant_basis,
     invariant_dimension,
@@ -28,6 +29,7 @@ from bicomm import (
     trivial_group,
 )
 from bicomm import invariants
+from bicomm.algebra_core import _masks, unpack
 from bicomm.invariants import EchelonBasis, coefficient_spans, element_to_row, row_to_element
 from conftest import module_span_dimension, subalgebra_span_dimension
 
@@ -244,6 +246,24 @@ class TestOrbitSkip:
         # Degree 4 in 3 variables: 15 monomials in 4 orbits of S_3.
         assert commutative_invariant_dimension(s3_group, 4) == 4
         assert len(calls) == 4 * 6
+
+
+def test_image_caches_hold_one_alphabet_monomials_of_degree_at_most_n(
+    catalogue_generators, s3_conjugated_generators
+):
+    """After `invariant_basis(G, n)` each element keeps at most the images of
+    the y parts and z parts of degree <= n, never those of full keys."""
+    cases = [(rank, gens, 5) for _, rank, gens in catalogue_generators]
+    cases.append((3, s3_conjugated_generators, 4))
+    for d, gens, n in cases:
+        group = group_closure(gens, rank=d)
+        y_mask, z_mask = _masks(d)
+        invariant_basis(group, n)
+        for g in group.elements:
+            assert len(g._images) <= 2 * math.comb(n + d, d)
+            for part in g._images:
+                assert part in (part & y_mask, part & z_mask)
+                assert sum(map(sum, unpack(d, part))) <= n
 
 
 class TestIntegerCoefficients:
