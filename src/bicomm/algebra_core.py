@@ -42,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from random import Random
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
@@ -456,11 +456,13 @@ def left_factor(lift: YZPolynomial) -> YZPolynomial:
     return YZPolynomial(lift.rank, terms)
 
 
-def _in_model(d: int, key: int) -> bool:
-    """Whether a rank-d lift key is a monomial of the model: a generator z_i,
-    or a bulk monomial with at least one y and one z factor."""
+def _in_model(d: int) -> Callable[[int], bool]:
+    """The test whether a rank-d lift key is a monomial of the model: a
+    generator z_i, or a bulk monomial with at least one y and one z factor.
+    The masks are read once, for every key the test is applied to."""
     y_mask, z_mask = _masks(d)
-    return bool(key & z_mask and (key & y_mask or key >> 2 * _WIDTH * d == 1))
+    shift = 2 * _WIDTH * d
+    return lambda key: bool(key & z_mask and (key & y_mask or key >> shift == 1))
 
 
 @dataclass(frozen=True)
@@ -469,7 +471,7 @@ class BicommElement(ExactArithmetic):
 
     The lift is linear, injective and commutes with the group action, so
     sums, scalars and group averages are those of the one polynomial.
-    Every term of `lift` must satisfy `_in_model`; construction checks it.
+    Every term of `lift` must pass `_in_model`; construction checks it.
     """
 
     rank: int
@@ -478,7 +480,7 @@ class BicommElement(ExactArithmetic):
     def __post_init__(self) -> None:
         if self.lift.rank != self.rank:
             raise ValueError("lift has mismatched rank")
-        if not all(_in_model(self.rank, key) for key in self.lift.terms):
+        if not all(map(_in_model(self.rank), self.lift.terms)):
             raise ValueError("lift term is neither a z_i nor a bulk monomial")
 
     @classmethod
@@ -497,8 +499,8 @@ class BicommElement(ExactArithmetic):
 
     @classmethod
     def from_bulk(cls, poly: YZPolynomial) -> "BicommElement":
-        y_mask = _masks(poly.rank)[0]
-        if not all(key & y_mask and _in_model(poly.rank, key) for key in poly.terms):
+        y_mask, in_model = _masks(poly.rank)[0], _in_model(poly.rank)
+        if not all(key & y_mask and in_model(key) for key in poly.terms):
             raise ValueError("bulk part contains a monomial missing a y or z factor")
         return cls(poly.rank, poly)
 
@@ -593,8 +595,7 @@ def basis_component(d: int, n: int) -> list[BicommElement]:
         raise ValueError("the algebra has no homogeneous component of degree < 1")
     return [
         BicommElement(d, YZPolynomial(d, {key: 1}))
-        for key in monomial_table(d, n).keys
-        if _in_model(d, key)
+        for key in filter(_in_model(d), monomial_table(d, n).keys)
     ]
 
 

@@ -6,10 +6,10 @@ give invariant bases.  One routine, `add_products`, forms every
 product span: lower invariants times new generators give the spans that
 `nonfg_witness` compares with the invariants, and coefficient-algebra
 products applied to module generators give module spans.  All ranks are
-exact, columns are indexed by the canonical monomial order, and output
-bases have pivots scaled to 1, so every output is canonical and
-reproducible.  Coefficients are `int` or `Fraction`; they compare, hash and
-print alike.
+exact, columns are indexed by the canonical monomial order (the symmetric
+module search keeps one column per S_d-orbit), and output bases have
+pivots scaled to 1, so every output is canonical and reproducible.
+Coefficients are `int` or `Fraction`; they compare, hash and print alike.
 """
 
 from __future__ import annotations
@@ -158,23 +158,27 @@ def _orbit_sums(group: FiniteGroup, monomials: Iterable[YZPolynomial]):
             yield total
 
 
-def invariant_basis(group: FiniteGroup, n: int) -> tuple[BicommElement, ...]:
-    """Echelonized basis of the G-invariants in degree n.
-
-    Computed as the row space of the orbit sums of the canonical monomial
-    basis, less those `_orbit_sums` skips, reduced with pivots scaled to 1.
-    """
+def _invariant_echelon(group: FiniteGroup, n: int) -> EchelonBasis:
+    """The row space of the orbit sums of the canonical monomial basis of
+    degree n, less those `_orbit_sums` skips: the degree-n G-invariants."""
     if n < 1:
         raise ValueError("invariants live in degrees >= 1")
     d = group.rank
     basis = EchelonBasis()
     for orbit_sum in _orbit_sums(group, (m.lift for m in basis_component(d, n))):
         basis.add(element_to_row(BicommElement(d, orbit_sum), n))
-    return tuple(row_to_element(r, d, n) for r in basis.rows())
+    return basis
+
+
+def invariant_basis(group: FiniteGroup, n: int) -> tuple[BicommElement, ...]:
+    """Echelonized basis of the G-invariants in degree n, pivots scaled to 1."""
+    d = group.rank
+    return tuple(row_to_element(r, d, n) for r in _invariant_echelon(group, n).rows())
 
 
 def invariant_dimension(group: FiniteGroup, n: int) -> int:
-    return len(invariant_basis(group, n))
+    """Dimension of the degree-n G-invariants: the rank, with no basis built."""
+    return _invariant_echelon(group, n).dimension
 
 
 def commutative_invariant_dimension(group: FiniteGroup, n: int) -> int:
@@ -248,9 +252,9 @@ def nonfg_witness(
     for n in range(1, search_bound + 1):
         if len(entries) == cutoff_bound:
             break
-        basis = EchelonBasis()
-        add_products(basis, left_invariants, new, n)
-        add_products(basis, invariants, left_new, n)
+        basis, columns = EchelonBasis(), monomial_table(group.rank, n).index
+        add_products(basis, left_invariants, new, n, columns)
+        add_products(basis, invariants, left_new, n, columns)
         products = basis.dimension
         invariants[n] = [element.lift for element in invariant_basis(group, n)]
         left_invariants[n] = [left_factor(lift) for lift in invariants[n]]
@@ -329,11 +333,14 @@ def add_products(
     spans: dict[int, list[YZPolynomial]],
     generators_by_degree: dict[int, list[YZPolynomial]],
     n: int,
+    columns: dict[int, int],
 ) -> bool:
     """Add the degree-n rows of lower * gen to `basis`; return whether it grew.
 
     Covers every generator gen of each degree k <= n and every lower in
-    spans[n - k].  Every row is added, even once the span has grown.
+    spans[n - k].  Every row is added, even once the span has grown.  A
+    row holds the coefficient of each key of `columns` in column
+    `columns[key]`: with `monomial_table(d, n).index`, all coordinates.
     """
     grew = False
     for k, gens in generators_by_degree.items():
@@ -341,7 +348,8 @@ def add_products(
             continue
         for lower in spans[n - k]:
             for gen in gens:
-                grew |= basis.add(poly_to_row(lower * gen, n))
+                terms = (lower * gen).terms
+                grew |= basis.add({columns[key]: c for key, c in terms.items() if key in columns})
     return grew
 
 
@@ -357,6 +365,6 @@ def coefficient_spans(
     spans: dict[int, list[YZPolynomial]] = {0: [YZPolynomial.constant(d, 1)]}
     for k in range(1, max_degree + 1):
         basis = EchelonBasis()
-        add_products(basis, spans, by_degree, k)
+        add_products(basis, spans, by_degree, k, monomial_table(d, k).index)
         spans[k] = [_row_to_poly(row, d, k) for row in basis.primitive_rows()]
     return spans

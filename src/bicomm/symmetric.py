@@ -5,7 +5,8 @@ two-alphabet polarizations e_{p,q} (sums of products over disjoint
 increasing index tuples), the exact verification of the rank-2 rewriting
 identity for e_{1,1}^2, and a greedy desk-scale search for module
 generators of the symmetric invariants of the algebra's bulk over the
-coefficient algebra generated by the e_k of both alphabets.
+coefficient algebra generated by the e_k of both alphabets, whose module
+rows are reduced on one column per S_d-orbit of monomials.
 """
 
 from __future__ import annotations
@@ -156,6 +157,32 @@ def module_candidates(d: int, bound: int) -> list[ModuleGenerator]:
     return [candidate for _, candidate in keyed]
 
 
+def _descending_pairs(d: int, n: int, top: tuple[int, int]):
+    """The tuples of d exponent pairs (alpha_i, beta_i), in non-increasing
+    order and each at most `top`, whose entries sum to n."""
+    if d == 0:
+        if n == 0:
+            yield ()
+        return
+    for a in range(min(top[0], n), -1, -1):
+        for b in range(min(n - a, top[1] if a == top[0] else n), -1, -1):
+            for rest in _descending_pairs(d - 1, n - a - b, (a, b)):
+                yield ((a, b), *rest)
+
+
+def _orbit_columns(d: int, n: int) -> dict[int, int]:
+    """One column per orbit of degree-n monomials under S_d permuting the
+    y_i and the z_i together, keyed by the orbit's first monomial in
+    canonical order: the one whose exponent pairs are non-increasing.
+
+    A symmetric polynomial has one coefficient per orbit, so its entries in
+    these columns determine it: ranks over them are the ranks over all
+    monomials, with rows about d! times shorter.
+    """
+    firsts = _descending_pairs(d, n, (n, n))
+    return {pack(d, *zip(*pairs)): col for col, pairs in enumerate(firsts)}
+
+
 def symmetric_module_generators(d: int, degree_bound: int) -> SymmetricModuleGenerators:
     """Greedy search for module generators of the symmetric bulk invariants.
 
@@ -186,6 +213,7 @@ def symmetric_module_generators(d: int, degree_bound: int) -> SymmetricModuleGen
     ]
     spans = coefficient_spans(coefficient_gens, degree_bound - 2, d)
     module_bases = {n: EchelonBasis() for n in range(2, degree_bound + 1)}
+    columns = {n: _orbit_columns(d, n) for n in module_bases}
 
     def unsaturated_degrees(minimum: int) -> list[int]:
         return [
@@ -198,12 +226,10 @@ def symmetric_module_generators(d: int, degree_bound: int) -> SymmetricModuleGen
     for candidate in module_candidates(d, degree_bound):
         if not unsaturated_degrees(2):
             break
-        if not unsaturated_degrees(candidate.degree):
-            continue
         gens = {candidate.degree: [candidate.polynomial]}
         improved = False
-        for n in range(candidate.degree, degree_bound + 1):
-            improved |= add_products(module_bases[n], spans, gens, n)
+        for n in unsaturated_degrees(candidate.degree):
+            improved |= add_products(module_bases[n], spans, gens, n, columns[n])
         if improved:
             selected.append(candidate)
     saturation = tuple(

@@ -8,12 +8,22 @@ from bicomm import (
     UniPoly,
     char_det,
     diagonal_matrix,
+    elementary_symmetric,
+    expand,
     group_closure,
+    molien_bicomm,
     permutation_matrix,
     symmetric_group,
     trivial_group,
 )
-from bicomm.algebra_core import BicommElement, YZPolynomial, basis_component, pack, unpack
+from bicomm.algebra_core import (
+    BicommElement,
+    YZPolynomial,
+    basis_component,
+    monomial_table,
+    pack,
+    unpack,
+)
 from bicomm.group_action import adjacent_transpositions, reynolds
 from bicomm.invariants import (
     EchelonBasis,
@@ -22,6 +32,11 @@ from bicomm.invariants import (
     coefficient_spans,
     element_to_row,
     row_to_element,
+)
+from bicomm.symmetric import (
+    DegreeSaturation,
+    SymmetricModuleGenerators,
+    module_candidates,
 )
 
 
@@ -125,8 +140,42 @@ def module_span_dimension(coefficient_generators, module_generators, n: int) -> 
         return 0
     spans = coefficient_spans(coefficient_generators, n - min(module_by_degree), d)
     basis = EchelonBasis()
-    add_products(basis, spans, module_by_degree, n)
+    add_products(basis, spans, module_by_degree, n, monomial_table(d, n).index)
     return basis.dimension
+
+
+def full_column_module_generators(d: int, degree_bound: int) -> SymmetricModuleGenerators:
+    """The greedy search of `symmetric_module_generators` with every module
+    row on all of `monomial_table(d, n)` and added to every degree from the
+    candidate's up, saturated or not: the route that one column per S_d-orbit
+    replaces, kept as its oracle."""
+    series = expand(molien_bicomm(symmetric_group(d)), degree_bound)
+    invariant_dims = {n: series.coefficients[n] for n in range(2, degree_bound + 1)}
+    coefficient_gens = [
+        elementary_symmetric(alphabet, d, k) for alphabet in ("y", "z") for k in range(1, d + 1)
+    ]
+    spans = coefficient_spans(coefficient_gens, degree_bound - 2, d)
+    bases = {n: EchelonBasis() for n in invariant_dims}
+    selected = []
+    for candidate in module_candidates(d, degree_bound):
+        if all(bases[n].dimension == invariant_dims[n] for n in bases):
+            break
+        if all(bases[n].dimension == invariant_dims[n] for n in bases if n >= candidate.degree):
+            continue
+        gens = {candidate.degree: [candidate.polynomial]}
+        improved = False
+        for n in range(candidate.degree, degree_bound + 1):
+            improved |= add_products(bases[n], spans, gens, n, monomial_table(d, n).index)
+        if improved:
+            selected.append(candidate)
+    saturation = tuple(
+        DegreeSaturation(n, bases[n].dimension, invariant_dims[n]) for n in bases
+    )
+    bounds = {}
+    for generator in selected:
+        for pq, exponent in generator.polarizations:
+            bounds[pq] = max(bounds.get(pq, 0), exponent)
+    return SymmetricModuleGenerators(tuple(selected), saturation, bounds)
 
 
 def _all_monomials_invariant_basis(group, n):

@@ -138,7 +138,7 @@ class TestPackedKeysMatchTupleOracle:
     def test_in_model(self, d, kind):
         for p, _, _, _ in self.pairs(d, kind):
             for key in p:
-                assert _in_model(d, pack(d, *key)) == tuple_in_model(key), key
+                assert _in_model(d)(pack(d, *key)) == tuple_in_model(key), key
 
 
 class TestPackedKeyLimits:
@@ -302,8 +302,10 @@ class TestBicommProduct:
         assert element.bulk == mono(2, (1, 0), (0, 1))
         assert str(element) == "x1 + y1*z2"
         for bad in (mono(2, (1, 0), (0, 0)), mono(2, (0, 0), (2, 0)), mono(2, (0, 0), (0, 0))):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="neither a z_i nor a bulk monomial"):
                 BicommElement(2, bad)
+            with pytest.raises(ValueError, match="neither a z_i nor a bulk monomial"):
+                BicommElement(2, x1_plus_y1z2 + bad)
         with pytest.raises(ValueError):
             BicommElement(3, x1_plus_y1z2)
 

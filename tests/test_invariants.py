@@ -165,6 +165,13 @@ class TestInvariantBases:
     def test_degree_zero_rejected(self, swap_group):
         with pytest.raises(ValueError):
             invariant_basis(swap_group, 0)
+        with pytest.raises(ValueError):
+            invariant_dimension(swap_group, 0)
+
+    def test_dimension_is_the_length_of_the_basis(self, catalogue, s3_conjugated):
+        for name, group in catalogue + [("S_3^P", s3_conjugated)]:
+            for n in range(1, (6 if group.rank <= 2 else 4) + 1):
+                assert invariant_dimension(group, n) == len(invariant_basis(group, n)), (name, n)
 
     def test_matches_series_at_low_degrees(self, swap_group, rotation_c4):
         for group in (swap_group, rotation_c4):

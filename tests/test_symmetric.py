@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -13,10 +14,12 @@ from bicomm import (
     symmetric_module_generators,
     verify_d2_identity,
 )
+from bicomm import symmetric
 from bicomm.algebra_core import monomial_table, pack, unpack
 from bicomm.group_action import adjacent_transpositions
 from bicomm.invariants import EchelonBasis, coefficient_spans, poly_to_row
-from bicomm.symmetric import module_candidates
+from bicomm.symmetric import _orbit_columns, module_candidates
+from conftest import full_column_module_generators, module_span_dimension
 
 
 def is_symmetric(poly):
@@ -205,3 +208,51 @@ class TestModuleGeneratorSearch:
             symmetric_module_generators(1, 4)
         with pytest.raises(ValueError):
             symmetric_module_generators(2, 1)
+
+
+class TestOrbitColumns:
+    """Module rows are reduced on one column per orbit of S_d permuting the
+    y_i and the z_i together; `full_column_module_generators` is the oracle."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_one_column_per_orbit_on_its_first_monomial(self, d):
+        for n in range(6 if d < 4 else 4):
+            table = monomial_table(d, n)
+            columns = _orbit_columns(d, n)
+            assert sorted(columns.values()) == list(range(len(columns)))
+            orbits = set()
+            for key in table.keys:
+                alpha, beta = unpack(d, key)
+                orbit = {
+                    pack(d, tuple(alpha[i] for i in perm), tuple(beta[i] for i in perm))
+                    for perm in permutations(range(d))
+                }
+                assert [k for k in orbit if k in columns] == [min(orbit, key=table.index.get)]
+                orbits.add(frozenset(orbit))
+            assert len(columns) == len(orbits)
+            assert set(columns) <= set(table.keys)
+
+    @pytest.mark.parametrize("d, bound", [(2, 8), (3, 6), (4, 5), (5, 5)])
+    def test_search_matches_the_full_column_route(self, d, bound):
+        result = symmetric_module_generators(d, bound)
+        assert result == full_column_module_generators(d, bound)
+        coefficients = [
+            elementary_symmetric(alphabet, d, k) for alphabet in ("y", "z") for k in range(1, d + 1)
+        ]
+        modules = [generator.polynomial for generator in result.generators]
+        for entry in result.saturation:
+            assert entry.span_dimension == module_span_dimension(coefficients, modules, entry.degree)
+
+    def test_saturated_degrees_take_no_rows(self, monkeypatch):
+        degrees = []
+        original = symmetric.add_products
+
+        def recorded(basis, spans, gens, n, columns):
+            degrees.append((n, basis.dimension))
+            return original(basis, spans, gens, n, columns)
+
+        monkeypatch.setattr(symmetric, "add_products", recorded)
+        result = symmetric_module_generators(3, 6)
+        full = {entry.degree: entry.invariant_dimension for entry in result.saturation}
+        assert degrees
+        assert all(dimension < full[n] for n, dimension in degrees)
