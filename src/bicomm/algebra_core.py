@@ -26,12 +26,14 @@ the x_j, so the lift turns sums, coordinates and group averages into those
 of polynomials; only the product needs the x_i back, as y_i on the left
 (`left_factor`).
 
-A monomial y^a z^b is stored as one `int` key (`pack`): the exponent of
-y_(i+1) in bits [16i, 16i + 16), that of z_(j+1) in bits [16(d + j),
-16(d + j) + 16), and the total degree above bit 32d, in a field with no
-width limit.  Keys order by degree first, and the key of a product is the
-sum of the keys, which `YZPolynomial.__mul__` keeps exact by refusing any
-product of degree 2^16 or more.  `unpack` gives the exponent tuples back.
+A monomial y^a z^b is stored as one `int` key (`pack`): from the top bits
+down, the total degree (no width limit), the z-degree |b| (32 bits), and
+the exponents of y_1..y_d, z_1..z_d (16 bits each).  Within one degree,
+descending keys are thus the canonical order of every basis, row reduction
+and printout: y-degree ascending, then a and then b descending-lex.  Every
+field is linear in the exponents, so the key of a product is the sum of the
+keys; `YZPolynomial.__mul__` keeps that exact by refusing any product of
+degree 2^16 or more.  `unpack` gives the exponent tuples back.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from random import Random
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Exponents = tuple[int, ...]
 TermKey = tuple[Exponents, Exponents]
@@ -54,24 +56,36 @@ def pack(d: int, alpha: Exponents, beta: Exponents) -> int:
     """The packed key of y^alpha z^beta in rank d; each exponent in 0..2^16 - 1."""
     if len(alpha) != d or len(beta) != d:
         raise ValueError(f"exponent tuples must have length {d}")
-    key = 0
-    for i, e in enumerate((*alpha, *beta)):
+    key = (sum(alpha) + sum(beta)) << 2 * _WIDTH | sum(beta)
+    for e in (*alpha, *beta):
         if not 0 <= e < _LIMIT:
             raise ValueError(f"exponent {e} out of range 0..{_LIMIT - 1}")
-        key |= e << _WIDTH * i
-    return key | (sum(alpha) + sum(beta)) << 2 * _WIDTH * d
+        key = key << _WIDTH | e
+    return key
 
 
 def unpack(d: int, key: int) -> TermKey:
     """The (y-exponents, z-exponents) of a packed rank-d key."""
-    exps = [key >> _WIDTH * i & _LIMIT - 1 for i in range(2 * d)]
+    exps = [key >> _WIDTH * i & _LIMIT - 1 for i in range(2 * d - 1, -1, -1)]
     return tuple(exps[:d]), tuple(exps[d:])
 
 
+def _degree_shift(d: int) -> int:
+    """The lowest bit of the total-degree field of a packed rank-d key."""
+    return 2 * _WIDTH * (d + 1)
+
+
 def _masks(d: int) -> tuple[int, int]:
-    """The y field and the z field of a packed rank-d key."""
-    y_mask = (1 << _WIDTH * d) - 1
-    return y_mask, y_mask << _WIDTH * d
+    """The y exponents and the z exponents of a packed rank-d key."""
+    z_mask = (1 << _WIDTH * d) - 1
+    return z_mask << _WIDTH * d, z_mask
+
+
+def _lowest_variable(d: int, part: int) -> tuple[int, str, int]:
+    """The part of the variable in the lowest nonzero field of a rank-d
+    exponent part, with that variable's alphabet and 0-based index."""
+    field = ((part & -part).bit_length() - 1) // _WIDTH
+    return 1 << _WIDTH * field, "zy"[field // d], d - 1 - field % d
 
 
 def _exact(value):
@@ -119,19 +133,6 @@ def power_by_squaring(base, exponent: int, one):
         if exponent:
             base = base * base
     return result
-
-
-def term_sort_key(key: TermKey) -> tuple:
-    """Canonical order of unpacked keys: that of `monomial_table` (so of
-    bases and row reduction) and of printing.
-
-    Sorts by total degree, then y-degree, then y-exponents descending-lex,
-    then z-exponents descending-lex.  Within one homogeneous component this
-    puts low y-degree first and, per block, y1/z1-heavy monomials first.
-    """
-    alpha, beta = key
-    da, db = sum(alpha), sum(beta)
-    return (da + db, da, tuple(-a for a in alpha), tuple(-b for b in beta))
 
 
 def _format_monomial(key: TermKey) -> str:
@@ -227,14 +228,12 @@ class YZPolynomial(ExactArithmetic):
         """
         if alphabet not in ("y", "z"):
             raise ValueError(f"alphabet must be 'y' or 'z', got {alphabet!r}")
-        rank = len(coeffs)
-        first = 0 if alphabet == "y" else rank
-        degree_one = 1 << 2 * _WIDTH * rank
-        terms = {
-            degree_one | 1 << _WIDTH * (first + i): coeff
-            for i, coeff in enumerate(coeffs)
-            if coeff
-        }
+        rank, zero = len(coeffs), (0,) * len(coeffs)
+        terms = {}
+        for i, coeff in enumerate(coeffs):
+            if coeff:
+                unit = indicator(rank, (i,))
+                terms[pack(rank, unit, zero) if alphabet == "y" else pack(rank, zero, unit)] = coeff
         return cls(rank, terms)
 
     @classmethod
@@ -277,7 +276,7 @@ class YZPolynomial(ExactArithmetic):
         if isinstance(other, YZPolynomial):
             self._check_rank(other)
             # Every exponent is at most the degree, so below 2^16 no field carries.
-            shift = 2 * _WIDTH * self.rank
+            shift = _degree_shift(self.rank)
             d1, d2 = max(self.terms, default=0) >> shift, max(other.terms, default=0) >> shift
             if d1 + d2 >= _LIMIT:
                 raise ValueError(f"product of degree {d1 + d2} exceeds the limit {_LIMIT - 1}")
@@ -304,14 +303,16 @@ class YZPolynomial(ExactArithmetic):
         """The common total degree of all terms, or None if mixed or zero."""
         if not self.terms:
             return None
-        shift = 2 * _WIDTH * self.rank
+        shift = _degree_shift(self.rank)
         low, high = min(self.terms) >> shift, max(self.terms) >> shift
         return low if low == high else None
 
     def ordered_terms(self) -> list[tuple[TermKey, int | Fraction]]:
-        """(unpacked key, coefficient) pairs in the order of `term_sort_key`."""
-        pairs = ((unpack(self.rank, k), c) for k, c in self.terms.items())
-        return sorted(pairs, key=lambda pair: term_sort_key(pair[0]))
+        """(unpacked key, coefficient) pairs in canonical order: by degree,
+        then by descending key."""
+        shift = _degree_shift(self.rank)
+        keys = sorted(self.terms, key=lambda k: (k >> shift, -k))
+        return [(unpack(self.rank, k), self.terms[k]) for k in keys]
 
     def __str__(self) -> str:
         return format_terms([(c, _format_monomial(k)) for k, c in self.ordered_terms()])
@@ -448,9 +449,10 @@ class UniPoly(ExactArithmetic):
 def left_factor(lift: YZPolynomial) -> YZPolynomial:
     """A lift as the left factor of a product: each generator z_i becomes y_i."""
     y_mask, z_mask = _masks(lift.rank)
-    half = _WIDTH * lift.rank
+    half, degree = _WIDTH * lift.rank, -1 << _degree_shift(lift.rank)
+    # A key with no y: its z exponents move up to the y fields, its z-degree goes.
     terms = {
-        k if k & y_mask else k - (k & z_mask) + ((k & z_mask) >> half): c
+        k if k & y_mask else k & degree | (k & z_mask) << half: c
         for k, c in lift.terms.items()
     }
     return YZPolynomial(lift.rank, terms)
@@ -461,7 +463,7 @@ def _in_model(d: int) -> Callable[[int], bool]:
     generator z_i, or a bulk monomial with at least one y and one z factor.
     The masks are read once, for every key the test is applied to."""
     y_mask, z_mask = _masks(d)
-    shift = 2 * _WIDTH * d
+    shift = _degree_shift(d)
     return lambda key: bool(key & z_mask and (key & y_mask or key >> shift == 1))
 
 
@@ -507,7 +509,7 @@ class BicommElement(ExactArithmetic):
     @property
     def linear(self) -> tuple[int | Fraction, ...]:
         """The coefficients of x_1..x_d (the z_i, first in `monomial_table(d, 1)`)."""
-        generators = monomial_table(self.rank, 1).keys[: self.rank]
+        generators = monomial_table(self.rank, 1)[: self.rank]
         return tuple(self.lift.terms.get(key, 0) for key in generators)
 
     @property
@@ -552,35 +554,25 @@ class BicommElement(ExactArithmetic):
     def __str__(self) -> str:
         parts: list[tuple[Fraction, str]] = []
         for key, coeff in self.lift.ordered_terms():
-            alpha, beta = key
-            symbol = _format_monomial(key) if any(alpha) else f"x{beta.index(1) + 1}"
-            parts.append((coeff, symbol))
+            symbol = _format_monomial(key)  # a key with no y is a generator x_i
+            parts.append((coeff, symbol if any(key[0]) else symbol.replace("z", "x")))
         return format_terms(parts)
 
     def __repr__(self) -> str:
         return f"BicommElement(d={self.rank}: {self})"
 
 
-class MonomialTable(NamedTuple):
-    """The degree-n packed monomial keys of K[Y_d, Z_d] in canonical order,
-    and the position of each key."""
-
-    keys: tuple[int, ...]
-    index: dict[int, int]
-
-
 @lru_cache(maxsize=None)
-def monomial_table(d: int, n: int) -> MonomialTable:
-    """The one table that indexes the columns of every row reduction, bulk
-    elements included.  It is cached and shared: callers must not mutate it.
-    """
-    keys = tuple(
+def monomial_table(d: int, n: int) -> tuple[int, ...]:
+    """The degree-n packed monomial keys of K[Y_d, Z_d] in canonical order,
+    which is descending key order: y-degree ascending, then the exponent
+    tuples in descending lexicographic order."""
+    return tuple(
         pack(d, alpha, beta)
         for a in range(n + 1)
         for alpha in compositions(a, d)
         for beta in compositions(n - a, d)
     )
-    return MonomialTable(keys, {key: i for i, key in enumerate(keys)})
 
 
 def basis_component(d: int, n: int) -> list[BicommElement]:
@@ -595,7 +587,7 @@ def basis_component(d: int, n: int) -> list[BicommElement]:
         raise ValueError("the algebra has no homogeneous component of degree < 1")
     return [
         BicommElement(d, YZPolynomial(d, {key: 1}))
-        for key in filter(_in_model(d), monomial_table(d, n).keys)
+        for key in filter(_in_model(d), monomial_table(d, n))
     ]
 
 

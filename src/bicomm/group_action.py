@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .algebra_core import BicommElement, UniPoly, YZPolynomial, _exact, power_by_squaring
-from .algebra_core import _WIDTH, _masks
+from .algebra_core import _lowest_variable, _masks
 
 DEFAULT_CLOSURE_CAP = 100_000
 
@@ -110,25 +110,23 @@ class RationalMatrix:
 
     def _image(self, part: int) -> YZPolynomial:
         """The image of the one-alphabet monomial `part` (packed exponent
-        fields, no degree field): 1 for part 0, the `act_linear` column for a
+        fields, no degree fields): 1 for part 0, the `act_linear` column for a
         variable, else image(part / v) * image(v) for v the variable of its
         lowest nonzero field.  Each is built once, with one product, and kept;
         a loop, not recursion, walks down to the nearest kept image."""
-        images = self._images
+        images, d = self._images, self.size
         if not images:
-            images[0] = YZPolynomial.constant(self.size, 1)
+            images[0] = YZPolynomial.constant(d, 1)
         missing = []
         while part not in images:
-            field = ((part & -part).bit_length() - 1) // _WIDTH
-            missing.append((part, field))
-            part -= 1 << _WIDTH * field
+            v, alphabet, index = _lowest_variable(d, part)
+            missing.append((part, v, alphabet, index))
+            part -= v
         image = images[part]
-        for part, field in reversed(missing):
-            v = 1 << _WIDTH * field
+        for part, v, alphabet, index in reversed(missing):
             if v not in images:
-                d = self.size
-                column = act_linear(self, [int(i == field % d) for i in range(d)])
-                images[v] = YZPolynomial.linear("yz"[field // d], column)
+                column = act_linear(self, [int(i == index) for i in range(d)])
+                images[v] = YZPolynomial.linear(alphabet, column)
             if part != v:
                 images[part] = image * images[v]
             image = images[part]

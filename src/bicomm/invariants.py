@@ -5,11 +5,13 @@ echelon basis of sparse integer rows.  Orbit sums of the monomial basis
 give invariant bases.  One routine, `add_products`, forms every
 product span: lower invariants times new generators give the spans that
 `nonfg_witness` compares with the invariants, and coefficient-algebra
-products applied to module generators give module spans.  All ranks are
-exact, columns are indexed by the canonical monomial order (the symmetric
-module search keeps one column per S_d-orbit), and output bases have
-pivots scaled to 1, so every output is canonical and reproducible.
-Coefficients are `int` or `Fraction`; they compare, hash and print alike.
+products applied to module generators give module spans.  A row is a
+polynomial's own `terms`, so its columns are packed monomial keys (the
+symmetric module search keeps one key per S_d-orbit), and its pivot is its
+largest key, the first in canonical order.  All ranks are exact and output
+bases have pivots scaled to 1, so every output is canonical and
+reproducible.  Coefficients are `int` or `Fraction`; they compare, hash and
+print alike.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .algebra_core import (
     basis_component,
     compositions,
     left_factor,
-    monomial_table,
 )
 from .group_action import FiniteGroup, act_bulk
 
@@ -62,10 +63,10 @@ class EchelonBasis:
     """Echelon basis of sparse exact rows, grown one row at a time over Z.
 
     `add` clears a row's denominators with one lcm and eliminates without
-    fractions.  Each stored row is primitive: integers with no common factor,
-    positive in its pivot column and zero in every other pivot column.  `add`
-    returns True exactly when the row enlarged the span, which doubles as an
-    exact independence test.
+    fractions.  The pivot of a row is its largest column.  Each stored row is
+    primitive: integers with no common factor, positive in its pivot column
+    and zero in every other pivot column.  `add` returns True exactly when
+    the row enlarged the span, which doubles as an exact independence test.
     """
 
     def __init__(self) -> None:
@@ -93,7 +94,7 @@ class EchelonBasis:
         reduced = self.reduce(row)
         if not reduced:
             return False
-        lead = min(reduced)
+        lead = max(reduced)
         reduced = _primitive(reduced, lead)
         for col, pivot_row in self._pivots.items():
             if lead in pivot_row:
@@ -102,37 +103,34 @@ class EchelonBasis:
         return True
 
     def rows(self) -> list[SparseRow]:
-        """The canonical reduced echelon basis, pivots 1, in pivot order."""
+        """The canonical reduced echelon basis, pivots 1, largest pivot first."""
         return [
             {c: Fraction(v, row[col]) for c, v in row.items()}
-            for col, row in sorted(self._pivots.items())
+            for col, row in sorted(self._pivots.items(), reverse=True)
         ]
 
     def primitive_rows(self) -> list[dict[int, int]]:
-        """The stored primitive integer rows, in pivot order: a basis of the
-        same span as `rows()`, for callers that need only the span."""
-        return [dict(row) for _, row in sorted(self._pivots.items())]
+        """The stored primitive integer rows, largest pivot first: a basis of
+        the same span as `rows()`, for callers that need only the span."""
+        return [dict(row) for _, row in sorted(self._pivots.items(), reverse=True)]
 
 
-def poly_to_row(poly: YZPolynomial, degree: int) -> SparseRow:
-    """Coordinates of a degree-n polynomial over `monomial_table(d, n)`."""
-    index = monomial_table(poly.rank, degree).index
-    return {index[key]: c for key, c in poly.terms.items()}
+def poly_to_row(poly: YZPolynomial) -> SparseRow:
+    """The row of a polynomial: its own `terms`, not to be mutated.  Kept
+    only because `bench/tracing.py` traces it by name."""
+    return poly.terms
 
 
-def _row_to_poly(row: SparseRow, d: int, degree: int) -> YZPolynomial:
-    keys = monomial_table(d, degree).keys
-    return YZPolynomial(d, {keys[c]: v for c, v in row.items()})
+def element_to_row(element: BicommElement) -> SparseRow:
+    """The row of an element: that of its lift.  Kept only because
+    `bench/tracing.py` traces it by name."""
+    return poly_to_row(element.lift)
 
 
-def element_to_row(element: BicommElement, degree: int) -> SparseRow:
-    """Coordinates of a homogeneous element: those of its lift, so in degree 1
-    the generators x_1..x_d are the columns z_1..z_d, 0..d-1."""
-    return poly_to_row(element.lift, degree)
-
-
-def row_to_element(row: SparseRow, d: int, degree: int) -> BicommElement:
-    return BicommElement(d, _row_to_poly(row, d, degree))
+def row_to_element(row: SparseRow, d: int) -> BicommElement:
+    """The element whose lift has `row` as its terms.  Kept only because
+    `bench/tracing.py` traces it by name."""
+    return BicommElement(d, YZPolynomial(d, row))
 
 
 def _orbit_sums(group: FiniteGroup, monomials: Iterable[YZPolynomial]):
@@ -166,14 +164,14 @@ def _invariant_echelon(group: FiniteGroup, n: int) -> EchelonBasis:
     d = group.rank
     basis = EchelonBasis()
     for orbit_sum in _orbit_sums(group, (m.lift for m in basis_component(d, n))):
-        basis.add(element_to_row(BicommElement(d, orbit_sum), n))
+        basis.add(element_to_row(BicommElement(d, orbit_sum)))
     return basis
 
 
 def invariant_basis(group: FiniteGroup, n: int) -> tuple[BicommElement, ...]:
     """Echelonized basis of the G-invariants in degree n, pivots scaled to 1."""
     d = group.rank
-    return tuple(row_to_element(r, d, n) for r in _invariant_echelon(group, n).rows())
+    return tuple(row_to_element(r, d) for r in _invariant_echelon(group, n).rows())
 
 
 def invariant_dimension(group: FiniteGroup, n: int) -> int:
@@ -195,7 +193,7 @@ def commutative_invariant_dimension(group: FiniteGroup, n: int) -> int:
     basis = EchelonBasis()
     monomials = (YZPolynomial.monomial(d, alpha, zeros) for alpha in compositions(n, d))
     for orbit_sum in _orbit_sums(group, monomials):
-        basis.add(poly_to_row(orbit_sum, n))
+        basis.add(poly_to_row(orbit_sum))
     return basis.dimension
 
 
@@ -252,13 +250,13 @@ def nonfg_witness(
     for n in range(1, search_bound + 1):
         if len(entries) == cutoff_bound:
             break
-        basis, columns = EchelonBasis(), monomial_table(group.rank, n).index
-        add_products(basis, left_invariants, new, n, columns)
-        add_products(basis, invariants, left_new, n, columns)
+        basis = EchelonBasis()
+        add_products(basis, left_invariants, new, n)
+        add_products(basis, invariants, left_new, n)
         products = basis.dimension
         invariants[n] = [element.lift for element in invariant_basis(group, n)]
         left_invariants[n] = [left_factor(lift) for lift in invariants[n]]
-        new[n] = [lift for lift in invariants[n] if basis.add(poly_to_row(lift, n))]
+        new[n] = [lift for lift in invariants[n] if basis.add(poly_to_row(lift))]
         left_new[n] = [left_factor(lift) for lift in new[n]]
         if products < len(invariants[n]):
             # The gap of every cutoff below n that has none yet.
@@ -333,14 +331,13 @@ def add_products(
     spans: dict[int, list[YZPolynomial]],
     generators_by_degree: dict[int, list[YZPolynomial]],
     n: int,
-    columns: dict[int, int],
+    keys: set[int] | None = None,
 ) -> bool:
     """Add the degree-n rows of lower * gen to `basis`; return whether it grew.
 
     Covers every generator gen of each degree k <= n and every lower in
     spans[n - k].  Every row is added, even once the span has grown.  A
-    row holds the coefficient of each key of `columns` in column
-    `columns[key]`: with `monomial_table(d, n).index`, all coordinates.
+    row is the product's terms, restricted to `keys` when they are given.
     """
     grew = False
     for k, gens in generators_by_degree.items():
@@ -349,7 +346,9 @@ def add_products(
         for lower in spans[n - k]:
             for gen in gens:
                 terms = (lower * gen).terms
-                grew |= basis.add({columns[key]: c for key, c in terms.items() if key in columns})
+                if keys is not None:
+                    terms = {key: c for key, c in terms.items() if key in keys}
+                grew |= basis.add(terms)
     return grew
 
 
@@ -365,6 +364,6 @@ def coefficient_spans(
     spans: dict[int, list[YZPolynomial]] = {0: [YZPolynomial.constant(d, 1)]}
     for k in range(1, max_degree + 1):
         basis = EchelonBasis()
-        add_products(basis, spans, by_degree, k, monomial_table(d, k).index)
-        spans[k] = [_row_to_poly(row, d, k) for row in basis.primitive_rows()]
+        add_products(basis, spans, by_degree, k)
+        spans[k] = [YZPolynomial(d, row) for row in basis.primitive_rows()]
     return spans

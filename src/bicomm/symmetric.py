@@ -6,7 +6,7 @@ increasing index tuples), the exact verification of the rank-2 rewriting
 identity for e_{1,1}^2, and a greedy desk-scale search for module
 generators of the symmetric invariants of the algebra's bulk over the
 coefficient algebra generated by the e_k of both alphabets, whose module
-rows are reduced on one column per S_d-orbit of monomials.
+rows are reduced on one monomial per S_d-orbit.
 """
 
 from __future__ import annotations
@@ -170,17 +170,16 @@ def _descending_pairs(d: int, n: int, top: tuple[int, int]):
                 yield ((a, b), *rest)
 
 
-def _orbit_columns(d: int, n: int) -> dict[int, int]:
-    """One column per orbit of degree-n monomials under S_d permuting the
-    y_i and the z_i together, keyed by the orbit's first monomial in
-    canonical order: the one whose exponent pairs are non-increasing.
+def _orbit_columns(d: int, n: int) -> set[int]:
+    """One key per orbit of degree-n monomials under S_d permuting the y_i
+    and the z_i together: the orbit's first monomial in canonical order, so
+    its largest key, the one whose exponent pairs are non-increasing.
 
-    A symmetric polynomial has one coefficient per orbit, so its entries in
-    these columns determine it: ranks over them are the ranks over all
+    A symmetric polynomial has one coefficient per orbit, so its entries on
+    these keys determine it: ranks over them are the ranks over all
     monomials, with rows about d! times shorter.
     """
-    firsts = _descending_pairs(d, n, (n, n))
-    return {pack(d, *zip(*pairs)): col for col, pairs in enumerate(firsts)}
+    return {pack(d, *zip(*pairs)) for pairs in _descending_pairs(d, n, (n, n))}
 
 
 def symmetric_module_generators(d: int, degree_bound: int) -> SymmetricModuleGenerators:
@@ -213,7 +212,7 @@ def symmetric_module_generators(d: int, degree_bound: int) -> SymmetricModuleGen
     ]
     spans = coefficient_spans(coefficient_gens, degree_bound - 2, d)
     module_bases = {n: EchelonBasis() for n in range(2, degree_bound + 1)}
-    columns = {n: _orbit_columns(d, n) for n in module_bases}
+    orbit_keys = {n: _orbit_columns(d, n) for n in module_bases}
 
     def unsaturated_degrees(minimum: int) -> list[int]:
         return [
@@ -229,7 +228,7 @@ def symmetric_module_generators(d: int, degree_bound: int) -> SymmetricModuleGen
         gens = {candidate.degree: [candidate.polynomial]}
         improved = False
         for n in unsaturated_degrees(candidate.degree):
-            improved |= add_products(module_bases[n], spans, gens, n, columns[n])
+            improved |= add_products(module_bases[n], spans, gens, n, orbit_keys[n])
         if improved:
             selected.append(candidate)
     saturation = tuple(

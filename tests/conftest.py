@@ -20,7 +20,6 @@ from bicomm.algebra_core import (
     BicommElement,
     YZPolynomial,
     basis_component,
-    monomial_table,
     pack,
     unpack,
 )
@@ -42,6 +41,16 @@ from bicomm.symmetric import (
 
 def is_identity(matrix):
     return matrix == RationalMatrix.identity(matrix.size)
+
+
+def term_sort_key(key):
+    """The canonical order of unpacked keys, spelled out on exponent tuples:
+    total degree, then y-degree, then the y-exponents and then the
+    z-exponents in descending lexicographic order.  Within one degree the
+    packed keys sort in this order descending; kept as their oracle."""
+    alpha, beta = key
+    da, db = sum(alpha), sum(beta)
+    return (da + db, da, tuple(-a for a in alpha), tuple(-b for b in beta))
 
 
 def tuple_terms(poly):
@@ -99,7 +108,7 @@ def _product_span(spans: dict[int, list[BicommElement]], n: int) -> EchelonBasis
     for a in range(1, n):
         for u in spans[a]:
             for v in spans[n - a]:
-                basis.add(element_to_row(u * v, n))
+                basis.add(element_to_row(u * v))
     return basis
 
 
@@ -116,8 +125,8 @@ def subalgebra_span_dimension(generators, n: int) -> int:
     for k in range(1, n + 1):
         basis = _product_span(spans, k)
         for gen in by_degree.get(k, ()):
-            basis.add(element_to_row(gen, k))
-        spans[k] = [row_to_element(r, d, k) for r in basis.primitive_rows()]
+            basis.add(element_to_row(gen))
+        spans[k] = [row_to_element(r, d) for r in basis.primitive_rows()]
     return len(spans[n])
 
 
@@ -140,13 +149,13 @@ def module_span_dimension(coefficient_generators, module_generators, n: int) -> 
         return 0
     spans = coefficient_spans(coefficient_generators, n - min(module_by_degree), d)
     basis = EchelonBasis()
-    add_products(basis, spans, module_by_degree, n, monomial_table(d, n).index)
+    add_products(basis, spans, module_by_degree, n)
     return basis.dimension
 
 
 def full_column_module_generators(d: int, degree_bound: int) -> SymmetricModuleGenerators:
     """The greedy search of `symmetric_module_generators` with every module
-    row on all of `monomial_table(d, n)` and added to every degree from the
+    row on every monomial and added to every degree from the
     candidate's up, saturated or not: the route that one column per S_d-orbit
     replaces, kept as its oracle."""
     series = expand(molien_bicomm(symmetric_group(d)), degree_bound)
@@ -165,7 +174,7 @@ def full_column_module_generators(d: int, degree_bound: int) -> SymmetricModuleG
         gens = {candidate.degree: [candidate.polynomial]}
         improved = False
         for n in range(candidate.degree, degree_bound + 1):
-            improved |= add_products(bases[n], spans, gens, n, monomial_table(d, n).index)
+            improved |= add_products(bases[n], spans, gens, n)
         if improved:
             selected.append(candidate)
     saturation = tuple(
@@ -185,8 +194,8 @@ def _all_monomials_invariant_basis(group, n):
     d = group.rank
     basis = EchelonBasis()
     for monomial in basis_component(d, n):
-        basis.add(element_to_row(reynolds(group, monomial), n))
-    return tuple(row_to_element(r, d, n) for r in basis.rows())
+        basis.add(element_to_row(reynolds(group, monomial)))
+    return tuple(row_to_element(r, d) for r in basis.rows())
 
 
 @pytest.fixture(scope="session")
@@ -273,7 +282,8 @@ def _fraction_axpy(target, factor, source):
 class FractionEchelonBasis:
     """Reduced echelon basis of sparse rows of `Fraction`s, pivots scaled to 1
     after every step: the route that the fraction-free `EchelonBasis`
-    replaces, kept as its oracle.  Same `add`, `dimension` and `rows`."""
+    replaces, kept as its oracle.  Same pivots (the largest column), `add`,
+    `dimension` and `rows`."""
 
     def __init__(self):
         self._pivots = {}
@@ -288,7 +298,7 @@ class FractionEchelonBasis:
             _fraction_axpy(row, -row[col], self._pivots[col])
         if not row:
             return False
-        lead = min(row)
+        lead = max(row)
         inv = 1 / row[lead]
         row = {c: v * inv for c, v in row.items()}
         for pivot_row in self._pivots.values():
@@ -298,7 +308,7 @@ class FractionEchelonBasis:
         return True
 
     def rows(self):
-        return [dict(self._pivots[c]) for c in sorted(self._pivots)]
+        return [dict(self._pivots[c]) for c in sorted(self._pivots, reverse=True)]
 
 
 @pytest.fixture(scope="session")

@@ -108,7 +108,7 @@ def test_criterion_05_reynolds_suite(catalogue):
                 assert act(g, averaged) == averaged, name
         linear = EchelonBasis()
         for i in range(1, d + 1):
-            linear.add(element_to_row(reynolds(group, BicommElement.generator(d, i)), 1))
+            linear.add(element_to_row(reynolds(group, BicommElement.generator(d, i))))
         trace_average = sum((g.trace() for g in group.elements), Fraction(0)) / group.order
         assert linear.dimension == trace_average, name
     report(5, "Reynolds idempotence, fixedness and linear-invariant dimension")

@@ -14,9 +14,10 @@ from bicomm import (
     dim_component,
     random_element,
 )
-from bicomm.algebra_core import _in_model, left_factor, pack, term_sort_key, unpack
+from bicomm.algebra_core import _in_model, left_factor, monomial_table, pack, unpack
 from conftest import (
     from_tuple_terms,
+    term_sort_key,
     tuple_homogeneous_degree,
     tuple_in_model,
     tuple_left_factor,
@@ -139,6 +140,55 @@ class TestPackedKeysMatchTupleOracle:
         for p, _, _, _ in self.pairs(d, kind):
             for key in p:
                 assert _in_model(d)(pack(d, *key)) == tuple_in_model(key), key
+
+
+def split(rng, total, parts):
+    """A random tuple of `parts` nonnegative integers summing to `total`."""
+    cuts = sorted(rng.randrange(total + 1) for _ in range(parts - 1))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+
+
+class TestPackedKeyOrder:
+    """Within one degree, descending packed keys are the canonical order,
+    `term_sort_key` in conftest, and every field of a key is linear."""
+
+    TOP = 2**16 - 1
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_descending_keys_are_the_oracle_order_over_each_table(self, d):
+        for n in range(6 if d < 4 else 4):
+            keys = monomial_table(d, n)
+            assert list(keys) == sorted(keys, reverse=True)
+            assert list(keys) == sorted(keys, key=lambda k: term_sort_key(unpack(d, k)))
+
+    def test_descending_keys_are_the_oracle_order_at_rank_16(self):
+        d, rng = 16, random.Random(16)
+        every = []
+        for count in (1, 2, 15, 16, 17, 31, 32):
+            pairs = set()
+            for _ in range(40):
+                exps = [self.TOP] * count + [0] * (2 * d - count)
+                rng.shuffle(exps)
+                pairs.add((tuple(exps[:d]), tuple(exps[d:])))
+            descending = sorted(pairs, key=lambda pair: pack(d, *pair), reverse=True)
+            assert descending == sorted(pairs, key=term_sort_key), count
+            every += pairs
+        poly = YZPolynomial(d, {pack(d, *pair): 1 for pair in every})
+        assert [key for key, _ in poly.ordered_terms()] == sorted(every, key=term_sort_key)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 16])
+    def test_key_of_a_sum_of_exponents_is_the_sum_of_keys(self, d):
+        rng = random.Random(d)
+        totals = [rng.randrange(2**16) for _ in range(100)] + [self.TOP] * 20
+        for total in totals:
+            both = split(rng, total, 2 * d)
+            if total == self.TOP and rng.random() < 0.5:
+                both = (0,) * d + split(rng, total, d)  # the largest z-degree
+            first = tuple(rng.randint(0, e) for e in both)
+            second = tuple(e - f for e, f in zip(both, first))
+            keys = [pack(d, exps[:d], exps[d:]) for exps in (first, second, both)]
+            assert keys[0] + keys[1] == keys[2]
+            assert unpack(d, keys[2]) == (both[:d], both[d:])
 
 
 class TestPackedKeyLimits:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bicomm
-from bicomm import RationalFunction, UniPoly, char_det
+from bicomm import RationalFunction, UniPoly, char_det, expand, load_group, molien_bicomm
 from bicomm.cli import (
     EXIT_CAP,
     EXIT_GROUP_FILE,
@@ -488,3 +488,29 @@ class TestArgumentHandling:
         child.stderr.close()
         assert child.wait(timeout=120) == EXIT_OK
         assert "Traceback" not in err
+
+
+class TestAdmittedFrontier:
+    """The largest requests the size rules admit run to the end and agree
+    with the closed series."""
+
+    @pytest.mark.parametrize("d, degree", [(2, 14), (3, 8), (4, 6), (5, 5)])
+    def test_largest_admitted_symmetric_requests_saturate(self, capsys, d, degree):
+        argv = ["--d", str(d), "--max-degree", str(degree), "--format", "structured"]
+        code, out, _ = run_main(capsys, "symmetric", *argv)
+        assert code == EXIT_OK
+        results = json.loads(out)["results"]
+        assert results["saturated_everywhere"] is True
+        assert [entry["degree"] for entry in results["saturation"]] == list(range(2, degree + 1))
+
+    def test_rank_16_cycle_invariant_dimensions_match_the_series(self, capsys, tmp_path):
+        d = 16
+        cycle = [["1" if i == (j + 1) % d else "0" for j in range(d)] for i in range(d)]
+        path = tmp_path / "c16.group"
+        path.write_text(json.dumps({"d": d, "generators": [cycle]}))
+        argv = ["--group", str(path), "--max-degree", "2", "--format", "structured"]
+        code, out, _ = run_main(capsys, "invariants", *argv)
+        assert code == EXIT_OK
+        dimensions = [entry["dimension"] for entry in json.loads(out)["results"]["degrees"]]
+        series = expand(molien_bicomm(load_group(str(path))), 2).coefficients
+        assert dimensions == list(series[1:]) == [1, 16]

@@ -502,7 +502,7 @@ class TestReynolds:
             basis = EchelonBasis()
             for i in range(1, group.rank + 1):
                 image = reynolds(group, BicommElement.generator(group.rank, i))
-                basis.add(element_to_row(image, 1))
+                basis.add(element_to_row(image))
             average = sum((g.trace() for g in group.elements), Fraction(0)) / group.order
             assert basis.dimension == average
 
